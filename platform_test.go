@@ -1,10 +1,17 @@
 package hybridmem
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,21 +144,36 @@ func TestSweepSpecs(t *testing.T) {
 	}
 }
 
+// quickGridManifest pins the SHA-256 of every quick-grid cell's
+// EncodeResult at seed 7, one "<hex>  <cell>" line per cell. It is the
+// oracle for changes that must not move a single simulated count, such
+// as a re-encoding of the cache model or the page table. Regenerate it
+// only for a deliberate model change, with
+// `go test -run TestRunBatchMatchesSerial -update`, and flag it in
+// review.
+const quickGridManifest = "testdata/quickgrid_seed7.sha256"
+
 // TestRunBatchMatchesSerial is the acceptance determinism check: a
 // parallel batch over 3 apps x 8 collectors must produce bit-identical
-// Results to the same specs run serially with equal seeds.
+// Results to the same specs run serially with equal seeds, and each
+// serial Result must match its pinned digest in quickGridManifest. Two
+// more pinned cells cover the L3 geometries the grid does not build:
+// a 4 MB L3 (2 ways, the paper's small-LLC comparison) and a 15 MB L3
+// (20 ways over a set count that is not a power of two).
 func TestRunBatchMatchesSerial(t *testing.T) {
 	specs := sweepSpecs()
 	ctx := context.Background()
 
 	serial := New(WithScale(Quick), WithSeed(7))
 	want := make([]Result, len(specs))
+	var digests []cellDigest
 	for i, s := range specs {
 		res, err := serial.Run(ctx, s)
 		if err != nil {
 			t.Fatalf("serial %v: %v", s, err)
 		}
 		want[i] = res
+		digests = append(digests, digestCell(t, s.AppName+"/"+s.Collector.String(), res))
 	}
 
 	parallel := New(WithScale(Quick), WithSeed(7))
@@ -164,6 +186,76 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 			t.Errorf("spec %d (%s/%s): parallel result differs from serial",
 				i, specs[i].AppName, specs[i].Collector)
 		}
+	}
+
+	for _, mb := range []int{4, 15} {
+		spec := RunSpec{AppName: "pmd", Collector: KGN}
+		res, err := New(WithScale(Quick), WithSeed(7), WithL3MB(mb)).Run(ctx, spec)
+		if err != nil {
+			t.Fatalf("%v with a %d MB L3: %v", spec, mb, err)
+		}
+		digests = append(digests, digestCell(t, fmt.Sprintf("pmd/KG-N/l3mb=%d", mb), res))
+	}
+	checkManifest(t, quickGridManifest, digests)
+}
+
+// cellDigest is one line of a Result manifest.
+type cellDigest struct{ cell, sum string }
+
+func digestCell(t *testing.T, cell string, res Result) cellDigest {
+	t.Helper()
+	data, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return cellDigest{cell: cell, sum: hex.EncodeToString(sum[:])}
+}
+
+// checkManifest compares digests against the manifest at path, or
+// rewrites it under -update. The race detector's reduced grid checks
+// the cells it runs and may not rewrite the file.
+func checkManifest(t *testing.T, path string, digests []cellDigest) {
+	t.Helper()
+	if *updateGolden {
+		if raceEnabled {
+			t.Fatal("the race build runs a reduced grid; regenerate the manifest without -race")
+		}
+		var buf bytes.Buffer
+		for _, d := range digests {
+			fmt.Fprintf(&buf, "%s  %s\n", d.sum, d.cell)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pinned := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		sum, cell, ok := strings.Cut(sc.Text(), "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
+		}
+		pinned[cell] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range digests {
+		switch want, ok := pinned[d.cell]; {
+		case !ok:
+			t.Errorf("%s: no digest for cell %s", path, d.cell)
+		case want != d.sum:
+			t.Errorf("cell %s: Result digest %s, pinned %s", d.cell, d.sum, want)
+		}
+	}
+	if !raceEnabled && len(pinned) != len(digests) {
+		t.Errorf("%s pins %d cells, the grid ran %d", path, len(pinned), len(digests))
 	}
 }
 
