@@ -38,7 +38,7 @@ func main() {
 	dataset := flag.String("dataset", "default", "default or large")
 	mode := flag.String("mode", "emul", "emul or sim")
 	native := flag.Bool("native", false, "run the C++ implementation (GraphChi apps)")
-	l3mb := flag.Int("l3mb", 0, "override the shared L3 size in MB")
+	l3mb := flag.Int("l3mb", 0, "override the shared L3 size in MB; sizes that do not split into whole 20-way sets halve the ways until they do (4 MB is modelled 2-way)")
 	scale := flag.String("scale", "std", "input scale: quick, std, or full")
 	policyName := flag.String("policy", "static", "placement policy: static, first-touch, write-threshold, wear-level")
 	seed := flag.Uint64("seed", 1, "workload seed")

@@ -35,3 +35,25 @@ func BenchmarkAccessL3Associativity(b *testing.B) {
 		c.Access(uint64(i%20)*(20<<20)/20, false)
 	}
 }
+
+// BenchmarkAccessL3RandomSets measures random lines across a full
+// 20 MB/20-way L3, drawn from a working set twice its capacity, with
+// one access in four a write. Every access lands in a different set,
+// so the figure includes the host cache misses on the model's own set
+// storage, which the one-set bench above cannot see.
+func BenchmarkAccessL3RandomSets(b *testing.B) {
+	const capacity = 20 << 20
+	const lines = 2 * capacity / 64
+	c := New(Config{Name: "L3", Bytes: capacity, Ways: 20})
+	for l := uint64(0); l < lines; l++ {
+		c.Access(l*64, l%4 == 0)
+	}
+	x := uint64(88172645463325252) // xorshift64 state
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		c.Access(x%lines*64, x>>62 == 0)
+	}
+}

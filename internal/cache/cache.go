@@ -11,7 +11,10 @@
 // multiprogrammed instances interfere in the shared L3.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -39,21 +42,39 @@ type Stats struct {
 	DirtyEvicts uint64
 }
 
-// Cache is a single set-associative write-back cache level. Ways within
-// a set are kept in MRU→LRU order; associativity is small (≤20 on this
-// platform) so reordering is a short copy. Not safe for concurrent use.
+// Cache is a single set-associative write-back cache level. Not safe
+// for concurrent use.
+//
+// Each way is one 32-bit word, (tag+1)<<1 | dirty, where the tag is the
+// line address with the set index taken out; 0 means invalid. A set's
+// words are kept in exact MRU→LRU order, and its valid ways always form
+// a prefix. A hit on way 0 only ORs in the dirty bit; any other hit,
+// and every miss, shifts the set's words down in place and installs
+// the line at way 0. A 20-way L3 set is 80 bytes, so a set scan stays
+// within two host cache lines.
+//
+// A tag must fit the word's 31 bits. Access and Contains panic on a
+// wider one rather than alias it; the platform's largest physical
+// address (2 × 66 GB) gives at most a 26-bit tag in any geometry it
+// builds.
 type Cache struct {
 	cfg   Config
 	sets  uint64
 	ways  int
-	shift uint
-	// lines holds lineAddr+1 per (set,way); 0 means invalid. Storing
-	// the full line address rather than a tag lets evictions
-	// reconstruct the victim address directly.
-	lines []uint64
-	dirty []bool
-	stats Stats
+	shift uint // log2(LineSize)
+	// pow2 reports a power-of-two set count, where the set is
+	// line&mask and the tag line>>setBits. Other counts, such as the
+	// 12288 sets of a 15 MB L3, take % and /.
+	pow2    bool
+	setBits uint
+	mask    uint64
+	words   []uint32
+	stats   Stats
 }
+
+// maxTag is the widest tag a way's word can hold: (maxTag+1)<<1 | 1
+// is the largest uint32.
+const maxTag = 1<<31 - 2
 
 // New returns a cache for the configuration. It panics on a geometry
 // that cannot form whole sets, since that is a programming error in the
@@ -69,7 +90,7 @@ func New(cfg Config) *Cache {
 	if linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache %s: %d lines not divisible by %d ways", cfg.Name, linesTotal, cfg.Ways))
 	}
-	sets := linesTotal / cfg.Ways
+	sets := uint64(linesTotal / cfg.Ways)
 	if sets == 0 {
 		panic(fmt.Sprintf("cache %s: zero sets", cfg.Name))
 	}
@@ -78,12 +99,14 @@ func New(cfg Config) *Cache {
 		shift++
 	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  uint64(sets),
-		ways:  cfg.Ways,
-		shift: shift,
-		lines: make([]uint64, sets*cfg.Ways),
-		dirty: make([]bool, sets*cfg.Ways),
+		cfg:     cfg,
+		sets:    sets,
+		ways:    cfg.Ways,
+		shift:   shift,
+		pow2:    sets&(sets-1) == 0,
+		setBits: uint(bits.TrailingZeros64(sets)),
+		mask:    sets - 1,
+		words:   make([]uint32, sets*uint64(cfg.Ways)),
 	}
 }
 
@@ -96,75 +119,105 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr converts a byte address to its 64-byte line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
+// locate splits the line holding addr into its set and tag.
+func (c *Cache) locate(addr uint64) (set, tag uint64) {
+	line := addr >> c.shift
+	if c.pow2 {
+		return line & c.mask, line >> c.setBits
+	}
+	return line % c.sets, line / c.sets
+}
+
+// encode returns the way word, dirty bit clear, for a line's tag. It
+// panics on a tag too wide for the word, which would otherwise alias.
+func (c *Cache) encode(addr, tag uint64) uint32 {
+	if tag > maxTag {
+		c.tagOverflow(addr)
+	}
+	return uint32(tag+1) << 1
+}
+
+// tagOverflow is kept out of line so that encode inlines into Access.
+//
+//go:noinline
+func (c *Cache) tagOverflow(addr uint64) {
+	panic(fmt.Sprintf("cache %s: address %#x has a tag wider than 31 bits", c.cfg.Name, addr))
+}
+
+// lineAddrOf rebuilds the line address of a valid way word in set.
+func (c *Cache) lineAddrOf(set uint64, word uint32) uint64 {
+	tag := uint64(word>>1) - 1
+	if c.pow2 {
+		return (tag<<c.setBits | set) << c.shift
+	}
+	return (tag*c.sets + set) << c.shift
+}
+
 // Access performs one read or write of the line containing addr.
 // On a miss the line is allocated (write-allocate) and the displaced
 // line, if any, is returned so the caller can cascade the writeback.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
-	line := addr >> c.shift
-	set := line % c.sets
-	base := int(set) * c.ways
-	enc := line + 1
+	set, tag := c.locate(addr)
+	enc := c.encode(addr, tag)
+	var dirty uint32
+	if write {
+		dirty = 1
+	}
 	c.stats.Accesses++
-
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == enc {
-			// Hit: refresh recency by moving to MRU position.
-			d := c.dirty[base+w] || write
-			copy(c.lines[base+1:base+w+1], c.lines[base:base+w])
-			copy(c.dirty[base+1:base+w+1], c.dirty[base:base+w])
-			c.lines[base] = enc
-			c.dirty[base] = d
+	ws := c.words[set*uint64(c.ways):][:c.ways]
+	if ws[0]&^1 == enc {
+		ws[0] |= dirty
+		c.stats.Hits++
+		return true, Victim{}
+	}
+	// Scan and shift in one pass: each way moves down a slot until the
+	// hit way, or on a miss the LRU way, has been read.
+	prev := ws[0]
+	for w := 1; w < len(ws); w++ {
+		cur := ws[w]
+		ws[w] = prev
+		if cur&^1 == enc {
+			ws[0] = cur | dirty
 			c.stats.Hits++
 			return true, Victim{}
 		}
+		prev = cur
 	}
-
-	// Miss: evict LRU way, install at MRU.
-	last := base + c.ways - 1
-	if c.lines[last] != 0 {
-		victim = Victim{
-			LineAddr: (c.lines[last] - 1) << c.shift,
-			Dirty:    c.dirty[last],
-			Valid:    true,
-		}
+	ws[0] = enc | dirty
+	if prev != 0 {
+		victim = Victim{LineAddr: c.lineAddrOf(set, prev), Dirty: prev&1 != 0, Valid: true}
 		c.stats.Evictions++
 		if victim.Dirty {
 			c.stats.DirtyEvicts++
 		}
 	}
-	copy(c.lines[base+1:base+c.ways], c.lines[base:last])
-	copy(c.dirty[base+1:base+c.ways], c.dirty[base:last])
-	c.lines[base] = enc
-	c.dirty[base] = write
 	return false, victim
 }
 
 // Contains reports whether the line holding addr is currently resident.
 // It does not perturb recency and is intended for tests and assertions.
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.shift
-	set := line % c.sets
-	base := int(set) * c.ways
-	enc := line + 1
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == enc {
+	set, tag := c.locate(addr)
+	enc := c.encode(addr, tag)
+	for _, wd := range c.words[set*uint64(c.ways):][:c.ways] {
+		if wd&^1 == enc {
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates the whole cache and returns the dirty lines in an
-// unspecified order so the caller can account for their writebacks.
+// Flush invalidates the whole cache and returns the dirty lines so the
+// caller can account for their writebacks: set by set, each set MRU
+// first. Callers that feed them to another cache depend on the order.
 func (c *Cache) Flush() []uint64 {
 	var dirtyLines []uint64
-	for i, enc := range c.lines {
-		if enc != 0 && c.dirty[i] {
-			dirtyLines = append(dirtyLines, (enc-1)<<c.shift)
+	for i, wd := range c.words {
+		if wd&1 != 0 {
+			dirtyLines = append(dirtyLines, c.lineAddrOf(uint64(i/c.ways), wd))
 		}
-		c.lines[i] = 0
-		c.dirty[i] = false
 	}
+	clear(c.words)
 	return dirtyLines
 }
 

@@ -26,6 +26,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 )
@@ -128,8 +129,15 @@ type Kernel struct {
 	zeroedPages uint64
 }
 
-// New returns a kernel managing the machine.
+// New returns a kernel managing the machine. It panics when a node's
+// frames are not page-aligned or the machine has more frames than a
+// page-table entry can number: both are platform-description bugs,
+// not runtime conditions.
 func New(m *machine.Machine, cfg Config) *Kernel {
+	nodeBytes := m.Config().NodeBytes
+	if nodeBytes%PageSize != 0 || uint64(m.Nodes())*(nodeBytes/PageSize) > math.MaxUint32 {
+		panic(fmt.Sprintf("kernel: %d nodes of %d bytes do not fit 32-bit page-table entries", m.Nodes(), nodeBytes))
+	}
 	k := &Kernel{cfg: cfg, m: m}
 	for n := 0; n < m.Nodes(); n++ {
 		k.frames = append(k.frames, frameAllocator{
@@ -158,9 +166,10 @@ type vma struct {
 // AddressSpace is a process's page table plus mapping metadata.
 type AddressSpace struct {
 	k *Kernel
-	// pages maps VPN -> PA+1 (0 = not present). Flat array: the
-	// 32-bit space has 2^20 pages.
-	pages []uint64
+	// pages maps VPN -> PFN+1 (0 = not present): a flat 4 MB array,
+	// as the 32-bit space has 2^20 pages. kernel.New checks that every
+	// frame number fits.
+	pages []uint32
 	vmas  []vma
 	// Resident counts present pages, for peak-memory accounting.
 	Resident     uint64
@@ -168,8 +177,14 @@ type AddressSpace struct {
 }
 
 func newAddressSpace(k *Kernel) *AddressSpace {
-	return &AddressSpace{k: k, pages: make([]uint64, VASize/PageSize)}
+	return &AddressSpace{k: k, pages: make([]uint32, VASize/PageSize)}
 }
+
+// pte returns the page-table entry mapping a page to the frame at pa.
+func pte(pa uint64) uint32 { return uint32(pa>>PageShift) + 1 }
+
+// frameOf returns the physical address of a present entry's frame.
+func frameOf(enc uint32) uint64 { return uint64(enc-1) << PageShift }
 
 // MMap reserves [start, start+length) with the given NUMA policy node
 // (NodeFirstTouch for the default policy). Overlapping or kernel-range
@@ -248,7 +263,7 @@ func (as *AddressSpace) MUnmap(start, length uint64) error {
 	mcfg := as.k.m.Config()
 	for vpn := start / PageSize; vpn < end/PageSize; vpn++ {
 		if enc := as.pages[vpn]; enc != 0 {
-			pa := enc - 1
+			pa := frameOf(enc)
 			node := as.k.homeNodeOf(pa)
 			as.k.frames[node].release(pa)
 			if mcfg.TrackWindow {
@@ -274,7 +289,7 @@ func (k *Kernel) homeNodeOf(pa uint64) int {
 // perturbing it.
 func (as *AddressSpace) Lookup(va uint64) (pa uint64, ok bool) {
 	if enc := as.pages[va>>PageShift]; enc != 0 {
-		return (enc - 1) | (va & (PageSize - 1)), true
+		return frameOf(enc) | (va & (PageSize - 1)), true
 	}
 	return 0, false
 }
@@ -304,7 +319,7 @@ func (as *AddressSpace) Residency(lo, hi uint64) []uint64 {
 	counts := make([]uint64, as.k.m.Nodes())
 	for vpn := lo / PageSize; vpn < hi/PageSize; vpn++ {
 		if enc := as.pages[vpn]; enc != 0 {
-			counts[as.k.homeNodeOf(enc-1)]++
+			counts[as.k.homeNodeOf(frameOf(enc))]++
 		}
 	}
 	return counts
@@ -315,7 +330,7 @@ func (as *AddressSpace) Residency(lo, hi uint64) []uint64 {
 func (as *AddressSpace) translate(va uint64, th *machine.Thread) (uint64, error) {
 	vpn := va >> PageShift
 	if enc := as.pages[vpn]; enc != 0 {
-		return (enc - 1) | (va & (PageSize - 1)), nil
+		return frameOf(enc) | (va & (PageSize - 1)), nil
 	}
 	node, err := as.policyFor(va)
 	if err != nil {
@@ -328,7 +343,7 @@ func (as *AddressSpace) translate(va uint64, th *machine.Thread) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	as.pages[vpn] = pa + 1
+	as.pages[vpn] = pte(pa)
 	as.Resident++
 	if as.Resident > as.PeakResident {
 		as.PeakResident = as.Resident

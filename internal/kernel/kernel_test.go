@@ -487,3 +487,29 @@ func TestNilCancelRunsToCompletion(t *testing.T) {
 		t.Error("body did not finish")
 	}
 }
+
+// TestNewPanicsWhenFramesOverflowPTE checks that a machine whose frames
+// a 32-bit page-table entry cannot number is refused, not aliased.
+func TestNewPanicsWhenFramesOverflowPTE(t *testing.T) {
+	for _, tc := range []struct {
+		nodeBytes uint64
+		ok        bool
+	}{
+		{nodeBytes: 1<<43 - PageSize, ok: true}, // 2 nodes: 2^32-2 frames
+		{nodeBytes: 1 << 43},                    // 2 nodes: 2^32 frames
+		{nodeBytes: 256<<20 + 64},               // frames not page-aligned
+	} {
+		cfg := machine.DefaultConfig()
+		cfg.NodeBytes = tc.nodeBytes
+		cfg.L3 = cache.Config{Name: "L3", Bytes: 16 << 10, Ways: 4}
+		m := machine.New(cfg)
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("NodeBytes %#x: panic = %v, want a panic: %v", tc.nodeBytes, r, !tc.ok)
+				}
+			}()
+			New(m, simOS())
+		}()
+	}
+}

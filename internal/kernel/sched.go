@@ -156,7 +156,7 @@ func (p *Process) MovePages(start, length uint64, from, to int) (moved int, stal
 		if enc == 0 {
 			continue
 		}
-		pa := enc - 1
+		pa := frameOf(enc)
 		if k.homeNodeOf(pa) != from {
 			continue
 		}
@@ -167,7 +167,7 @@ func (p *Process) MovePages(start, length uint64, from, to int) (moved int, stal
 		}
 		k.m.MigratePage(pa, npa)
 		released = append(released, pa)
-		p.AS.pages[vpn] = npa + 1
+		p.AS.pages[vpn] = pte(npa)
 		moved++
 	}
 	for _, pa := range released {

@@ -230,6 +230,11 @@ func WithAppFactory(f func(string) App) Option {
 
 // WithL3MB overrides the shared L3 size in MB (the paper's KG-N
 // sensitivity analysis compares 4 MB vs the platform's 20 MB).
+//
+// The L3 keeps 20 ways only when the size splits into whole 20-way
+// sets; otherwise the way count halves (20, 10, 5, 2, 1) until it
+// does. A 4 MB L3 is therefore modelled 2-way, where a real 4 MB LLC is
+// 16-way.
 func WithL3MB(mb int) Option { return func(c *config) { c.l3Bytes = mb << 20 } }
 
 // WithBaseNurseryMB overrides the suite nursery size in MB.
