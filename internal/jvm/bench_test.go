@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/objmodel"
 )
 
 // benchRuntime builds a runtime on an unscheduled process: with no
 // scheduler the timeslice stays zero, accesses never yield, and the
 // runtime is usable directly from the benchmark goroutine.
-func benchRuntime(b *testing.B, kind Kind) *Runtime {
+func benchRuntime(b testing.TB, kind Kind) *Runtime {
 	b.Helper()
 	mcfg := machine.DefaultConfig()
 	mcfg.NodeBytes = 2 << 30
@@ -64,16 +65,28 @@ func BenchmarkWriteBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkMinorGC measures a full nursery collection with a live
-// window.
+// BenchmarkMinorGC measures a nursery collection with a live window:
+// before each (untimed) a fresh 512-object window replaces the rooted
+// one, so every collection copies 512 survivors.
 func BenchmarkMinorGC(b *testing.B) {
 	rt := benchRuntime(b, KGW)
-	// A rooted window so collections have survivors to copy.
-	for i := 0; i < 512; i++ {
-		rt.AddRoot(rt.Alloc(128, 1))
+	slots := make([]int, 512)
+	for i := range slots {
+		slots[i] = rt.AddRoot(objmodel.Nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rotateWindow(rt, slots)
+		b.StartTimer()
 		rt.Collect(false)
+	}
+}
+
+// rotateWindow points each root slot at a freshly allocated nursery
+// object, unrooting the previous window.
+func rotateWindow(rt *Runtime, slots []int) {
+	for _, s := range slots {
+		rt.SetRoot(s, rt.Alloc(128, 1))
 	}
 }

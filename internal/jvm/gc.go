@@ -37,12 +37,20 @@ func (r *Runtime) gcEnter() func() {
 	}
 }
 
-// considerFn pushes unmarked collection candidates onto the trace.
+// tracer marks the objects a collection reaches: accept selects the
+// collection candidates, stack holds those still to scan, and reached
+// lists every one marked, in marking order.
 type tracer struct {
 	r       *Runtime
 	stack   []objmodel.ObjID
 	reached []objmodel.ObjID
 	accept  func(*objmodel.Object) bool
+}
+
+// newTracer starts a trace on the work lists the previous collection
+// stored back in the runtime.
+func (r *Runtime) newTracer(accept func(*objmodel.Object) bool) tracer {
+	return tracer{r: r, stack: r.gcStack[:0], reached: r.gcReached[:0], accept: accept}
 }
 
 func (t *tracer) consider(id objmodel.ObjID) {
@@ -71,7 +79,7 @@ func (t *tracer) drain(moves func(*objmodel.Object) bool) {
 		n := o.NumRefs()
 		r.Proc.Access(o.Addr, objmodel.HeaderBytes+n*objmodel.RefBytes, false)
 		for i := 0; i < n; i++ {
-			ref := o.Ref(i)
+			ref := r.Table.Ref(o, i)
 			if ref == objmodel.Nil {
 				continue
 			}
@@ -104,7 +112,7 @@ func (r *Runtime) scanRemset(t *tracer, set []remEntry) {
 			continue // source died in an earlier collection
 		}
 		r.Proc.Access(so.RefSlotAddr(int(e.slot)), objmodel.RefBytes, false)
-		if ref := so.Ref(int(e.slot)); ref != objmodel.Nil {
+		if ref := r.Table.Ref(so, int(e.slot)); ref != objmodel.Nil {
 			t.consider(ref)
 		}
 	}
@@ -126,20 +134,20 @@ func (r *Runtime) collectYoung() {
 	}
 	r.epoch++
 
-	t := &tracer{r: r, accept: func(o *objmodel.Object) bool {
+	t := r.newTracer(func(o *objmodel.Object) bool {
 		if o.Space == objmodel.SpaceNursery {
 			return true
 		}
 		return evac && o.Space == objmodel.SpaceObserver
-	}}
-	r.scanRoots(t)
-	r.scanRemset(t, r.remNursery)
+	})
+	r.scanRoots(&t)
+	r.scanRemset(&t, r.remNursery)
 	if evac {
-		r.scanRemset(t, r.remObserver)
+		r.scanRemset(&t, r.remObserver)
 	}
 	t.drain(t.accept)
 
-	var nurseryReached, observerReached []objmodel.ObjID
+	nurseryReached, observerReached := r.gcNursery[:0], r.gcObserver[:0]
 	for _, id := range t.reached {
 		if r.Table.Get(id).Space == objmodel.SpaceNursery {
 			nurseryReached = append(nurseryReached, id)
@@ -150,7 +158,7 @@ func (r *Runtime) collectYoung() {
 
 	// Evacuate observer residents first (dispatch by write history),
 	// freeing the observer for this round's nursery survivors.
-	var promoted []objmodel.ObjID
+	promoted := r.gcPromoted[:0]
 	if evac {
 		for _, id := range observerReached {
 			r.dispatchObserver(id)
@@ -179,6 +187,8 @@ func (r *Runtime) collectYoung() {
 	r.nursery.Reset()
 
 	r.fixupRemsets(evac, promoted)
+	r.gcStack, r.gcReached = t.stack, t.reached
+	r.gcNursery, r.gcObserver, r.gcPromoted = nurseryReached, observerReached, promoted
 	// The collection's safepoint quantum: the placement-policy engine
 	// migrates page groups while the world is still stopped.
 	if r.Safepoint != nil {
@@ -279,7 +289,7 @@ func (r *Runtime) fixupRemsets(evac bool, promoted []objmodel.ObjID) {
 		if so.Addr == 0 || r.Layout.InYoung(so.Addr) {
 			continue
 		}
-		if ref := so.Ref(int(e.slot)); ref != objmodel.Nil &&
+		if ref := r.Table.Ref(so, int(e.slot)); ref != objmodel.Nil &&
 			r.Table.Get(ref).Space == objmodel.SpaceObserver {
 			r.remember(&r.remObserver, e.src, int(e.slot))
 		}
@@ -287,7 +297,7 @@ func (r *Runtime) fixupRemsets(evac bool, promoted []objmodel.ObjID) {
 	for _, id := range promoted {
 		o := r.Table.Get(id)
 		for i := 0; i < o.NumRefs(); i++ {
-			if ref := o.Ref(i); ref != objmodel.Nil &&
+			if ref := r.Table.Ref(o, i); ref != objmodel.Nil &&
 				r.Table.Get(ref).Space == objmodel.SpaceObserver {
 				r.remember(&r.remObserver, id, i)
 			}
@@ -308,8 +318,8 @@ func (r *Runtime) collectFull() {
 	r.Stats.FullGCs++
 	r.epoch++
 
-	t := &tracer{r: r, accept: func(o *objmodel.Object) bool { return true }}
-	r.scanRoots(t)
+	t := r.newTracer(func(o *objmodel.Object) bool { return true })
+	r.scanRoots(&t)
 	t.drain(isYoung)
 
 	// Mark metadata writes for mature/large objects.
@@ -323,7 +333,7 @@ func (r *Runtime) collectFull() {
 	}
 
 	// Young evacuation, observer residents first.
-	var nurseryReached, observerReached []objmodel.ObjID
+	nurseryReached, observerReached := r.gcNursery[:0], r.gcObserver[:0]
 	for _, id := range t.reached {
 		switch r.Table.Get(id).Space {
 		case objmodel.SpaceNursery:
@@ -354,6 +364,8 @@ func (r *Runtime) collectFull() {
 	}
 	r.nurseryObjs = r.nurseryObjs[:0]
 	r.nursery.Reset()
+	r.gcStack, r.gcReached = t.stack, t.reached
+	r.gcNursery, r.gcObserver = nurseryReached, observerReached
 
 	// KG-W Large Object Optimization, collector half: move written
 	// large PCM objects to the DRAM large space.
@@ -465,7 +477,7 @@ func (r *Runtime) rebuildRemsets() {
 	for _, id := range r.matureObjs {
 		o := r.Table.Get(id)
 		for i := 0; i < o.NumRefs(); i++ {
-			if ref := o.Ref(i); ref != objmodel.Nil &&
+			if ref := r.Table.Ref(o, i); ref != objmodel.Nil &&
 				r.Table.Get(ref).Space == objmodel.SpaceObserver {
 				r.remember(&r.remObserver, id, i)
 			}

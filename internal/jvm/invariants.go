@@ -21,12 +21,10 @@ import (
 //     live record.
 //  4. Space occupancy accounting covers at least the live bytes.
 //  5. Root slots hold nil or live objects.
+//  6. The overflow reference runs of live objects lie inside the
+//     object table's arena and are disjoint.
 func (r *Runtime) CheckInvariants() error {
-	type extent struct {
-		lo, hi uint64
-		id     objmodel.ObjID
-	}
-	var extents []extent
+	var extents, runs []extent
 
 	checkSpace := func(id objmodel.ObjID, o *objmodel.Object) error {
 		switch o.Space {
@@ -70,8 +68,15 @@ func (r *Runtime) CheckInvariants() error {
 				return err
 			}
 			extents = append(extents, extent{lo: o.Addr, hi: o.Addr + uint64(o.Size), id: id})
+			if lo, hi := r.Table.OverflowRun(o); hi > lo {
+				if hi > r.Table.ArenaLen() {
+					return fmt.Errorf("object %d's overflow run [%d,%d) ends past the %d-slot arena",
+						id, lo, hi, r.Table.ArenaLen())
+				}
+				runs = append(runs, extent{lo: uint64(lo), hi: uint64(hi), id: id})
+			}
 			for i := 0; i < o.NumRefs(); i++ {
-				ref := o.Ref(i)
+				ref := r.Table.Ref(o, i)
 				if ref == objmodel.Nil {
 					continue
 				}
@@ -92,12 +97,11 @@ func (r *Runtime) CheckInvariants() error {
 		return err
 	}
 
-	sort.Slice(extents, func(i, j int) bool { return extents[i].lo < extents[j].lo })
-	for i := 1; i < len(extents); i++ {
-		if extents[i].lo < extents[i-1].hi {
-			return fmt.Errorf("objects %d and %d overlap at %#x",
-				extents[i-1].id, extents[i].id, extents[i].lo)
-		}
+	if a, b, ok := overlap(extents); ok {
+		return fmt.Errorf("objects %d and %d overlap at %#x", a.id, b.id, b.lo)
+	}
+	if a, b, ok := overlap(runs); ok {
+		return fmt.Errorf("objects %d and %d share overflow slot %d", a.id, b.id, b.lo)
 	}
 
 	for slot, id := range r.roots {
@@ -109,4 +113,22 @@ func (r *Runtime) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// extent is the half-open range [lo, hi) one object occupies.
+type extent struct {
+	lo, hi uint64
+	id     objmodel.ObjID
+}
+
+// overlap sorts xs by start and returns the first pair of neighbours
+// that overlap.
+func overlap(xs []extent) (a, b extent, ok bool) {
+	sort.Slice(xs, func(i, j int) bool { return xs[i].lo < xs[j].lo })
+	for i := 1; i < len(xs); i++ {
+		if xs[i].lo < xs[i-1].hi {
+			return xs[i-1], xs[i], true
+		}
+	}
+	return extent{}, extent{}, false
 }

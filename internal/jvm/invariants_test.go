@@ -34,7 +34,7 @@ func TestInvariantsUnderRandomMutation(t *testing.T) {
 							if next(40) == 0 {
 								size = 8192 + int(next(16384)) // large
 							}
-							id := r.Alloc(size, int(next(4)))
+							id := r.Alloc(size, int(next(9))) // up to 8: overflow slots too
 							if next(3) == 0 {
 								rooted = append(rooted, id)
 								slots = append(slots, r.AddRoot(id))

@@ -467,7 +467,7 @@ func TestNoLiveObjectLost(t *testing.T) {
 						t.Fatalf("kept object %d still in nursery after storms", i)
 					}
 					for s := 0; s < 2; s++ {
-						ref := o.Ref(s)
+						ref := r.Table.Ref(o, s)
 						if ref == objmodel.Nil {
 							continue
 						}
@@ -477,6 +477,32 @@ func TestNoLiveObjectLost(t *testing.T) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// TestMinorGCReusesWorkLists checks that a steady-state minor
+// collection reuses the previous one's work lists: rotating 256 rooted
+// survivors through the nursery and collecting them allocates at most
+// once (the collection's candidate filter).
+func TestMinorGCReusesWorkLists(t *testing.T) {
+	for _, kind := range []Kind{KGN, KGW} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rt := benchRuntime(t, kind)
+			slots := make([]int, 256)
+			for i := range slots {
+				slots[i] = rt.AddRoot(objmodel.Nil)
+			}
+			cycle := func() {
+				rotateWindow(rt, slots)
+				rt.Collect(false)
+			}
+			for i := 0; i < 8; i++ {
+				cycle()
+			}
+			if got := testing.AllocsPerRun(50, cycle); got > 1 {
+				t.Errorf("%v allocations per minor collection, want at most 1", got)
+			}
 		})
 	}
 }

@@ -77,6 +77,13 @@ type Runtime struct {
 	remObserver []remEntry
 	remCursor   uint64
 
+	// Collection work lists: each collection appends into the arrays
+	// the previous one stored back, so a steady-state collection
+	// allocates none.
+	gcStack, gcReached    []objmodel.ObjID
+	gcNursery, gcObserver []objmodel.ObjID
+	gcPromoted            []objmodel.ObjID
+
 	epoch     uint32
 	iteration int // 1 = warmup (JIT active), 2 = measured
 	bootCur   uint64
@@ -376,7 +383,7 @@ func (r *Runtime) Read(id objmodel.ObjID, off, size int) {
 // generational boundary write barrier.
 func (r *Runtime) WriteRef(src objmodel.ObjID, slot int, dst objmodel.ObjID) {
 	so := r.Table.Get(src)
-	so.SetRef(slot, dst)
+	r.Table.SetRef(so, slot, dst)
 	r.Stats.BarrierStores++
 	r.Proc.Compute(2) // boundary test
 	r.Proc.Access(so.RefSlotAddr(slot), objmodel.RefBytes, true)
@@ -408,7 +415,7 @@ func (r *Runtime) remember(set *[]remEntry, src objmodel.ObjID, slot int) {
 func (r *Runtime) ReadRef(src objmodel.ObjID, slot int) objmodel.ObjID {
 	so := r.Table.Get(src)
 	r.Proc.Access(so.RefSlotAddr(slot), objmodel.RefBytes, false)
-	return so.Ref(slot)
+	return r.Table.Ref(so, slot)
 }
 
 // AddRoot registers a new root slot holding id and returns the slot

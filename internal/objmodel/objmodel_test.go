@@ -1,8 +1,11 @@
 package objmodel
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSpaceStrings(t *testing.T) {
@@ -63,11 +66,11 @@ func TestRefsInlineAndOverflow(t *testing.T) {
 	id := tb.Alloc(0x1000, 256, SpaceNursery, 7) // 4 inline + 3 overflow
 	o := tb.Get(id)
 	for i := 0; i < 7; i++ {
-		o.SetRef(i, ObjID(i+100))
+		tb.SetRef(o, i, ObjID(i+100))
 	}
 	for i := 0; i < 7; i++ {
-		if o.Ref(i) != ObjID(i+100) {
-			t.Errorf("Ref(%d) = %d, want %d", i, o.Ref(i), i+100)
+		if tb.Ref(o, i) != ObjID(i+100) {
+			t.Errorf("Ref(%d) = %d, want %d", i, tb.Ref(o, i), i+100)
 		}
 	}
 }
@@ -116,24 +119,33 @@ func TestFlags(t *testing.T) {
 }
 
 // Property: live count equals allocs minus frees, and freed slots are
-// recycled before the table grows.
+// recycled, last freed first, before the table grows.
 func TestTableAccountingProperty(t *testing.T) {
-	f := func(ops []bool) bool {
+	f := func(ops []uint8) bool {
 		tb := NewTable()
-		var ids []ObjID
-		allocs, frees := 0, 0
-		for _, alloc := range ops {
-			if alloc || len(ids) == 0 {
-				ids = append(ids, tb.Alloc(0x1000, 64, SpaceNursery, 1))
-				allocs++
+		var ids, freed []ObjID
+		var high ObjID
+		for _, op := range ops {
+			if op&1 == 0 || len(ids) == 0 {
+				want := high + 1
+				if n := len(freed); n > 0 {
+					want, freed = freed[n-1], freed[:n-1]
+				} else {
+					high++
+				}
+				if id := tb.Alloc(0x1000, 64, SpaceNursery, 1); id != want {
+					t.Logf("Alloc = %d, want %d", id, want)
+					return false
+				}
+				ids = append(ids, want)
 			} else {
-				id := ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				tb.Free(id)
-				frees++
+				i := int(op>>1) % len(ids)
+				tb.Free(ids[i])
+				freed = append(freed, ids[i])
+				ids = append(ids[:i], ids[i+1:]...)
 			}
 		}
-		return tb.Live() == allocs-frees
+		return tb.Live() == len(ids)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -150,10 +162,10 @@ func TestRefsRoundtripProperty(t *testing.T) {
 		want := make([]ObjID, nrefs)
 		for i := 0; i < nrefs && i < len(vals); i++ {
 			want[i] = ObjID(vals[i])
-			o.SetRef(i, want[i])
+			tb.SetRef(o, i, want[i])
 		}
 		for i := 0; i < nrefs; i++ {
-			if o.Ref(i) != want[i] {
+			if tb.Ref(o, i) != want[i] {
 				return false
 			}
 		}
@@ -162,4 +174,139 @@ func TestRefsRoundtripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// A record pointer stays valid while the table grows by whole chunks,
+// and so does its overflow run while the arena grows; every record
+// keeps its own fields.
+func TestObjectPointerStableAcrossGrowth(t *testing.T) {
+	tb := NewTable()
+	id := tb.Alloc(0, 64, SpaceNursery, 6)
+	o := tb.Get(id)
+	for i := 1; i < 3*chunkLen; i++ {
+		tb.Alloc(uint64(i)*64, 64, SpaceNursery, 6)
+	}
+	if len(tb.chunks) != 3 {
+		t.Fatalf("table has %d chunks, want 3", len(tb.chunks))
+	}
+	o.Size = 128
+	tb.SetRef(o, 5, 42)
+	if got := tb.Get(id); got != o || got.Size != 128 || tb.Ref(got, 5) != 42 {
+		t.Errorf("record moved or lost its writes: Get = %p (held %p), Size %d, Ref(5) = %d",
+			got, o, got.Size, tb.Ref(got, 5))
+	}
+	for i := 1; i < 3*chunkLen; i++ {
+		if got := tb.Get(ObjID(i + 1)); got.Addr != uint64(i)*64 || tb.Ref(got, 5) != Nil {
+			t.Fatalf("record %d: Addr %#x, Ref(5) = %d; want %#x, Nil", i+1, got.Addr, tb.Ref(got, 5), i*64)
+		}
+	}
+}
+
+// Freeing an object returns its overflow run, and the next object
+// with as many overflow slots takes it back zeroed.
+func TestOverflowRunReuse(t *testing.T) {
+	tb := NewTable()
+	a := tb.Alloc(0x1000, 64, SpaceNursery, 7)
+	o := tb.Get(a)
+	for i := 0; i < 7; i++ {
+		tb.SetRef(o, i, ObjID(i+100))
+	}
+	lo, hi := tb.OverflowRun(o)
+	arena := len(tb.ext)
+	tb.Free(a)
+	o = tb.Get(tb.Alloc(0x2000, 64, SpaceNursery, 7))
+	for i := 0; i < 7; i++ {
+		if got := tb.Ref(o, i); got != Nil {
+			t.Errorf("reused object's Ref(%d) = %d, want Nil", i, got)
+		}
+	}
+	if l, h := tb.OverflowRun(o); l != lo || h != hi {
+		t.Errorf("run [%d,%d), want the freed run [%d,%d)", l, h, lo, hi)
+	}
+	if len(tb.ext) != arena {
+		t.Errorf("arena grew %d -> %d slots on reuse", arena, len(tb.ext))
+	}
+}
+
+// An index past the object's slots panics instead of reaching into the
+// next object's run.
+func TestOverflowIndexPastRefsPanics(t *testing.T) {
+	tb := NewTable()
+	a := tb.Get(tb.Alloc(0x1000, 64, SpaceNursery, 6))
+	b := tb.Get(tb.Alloc(0x2000, 64, SpaceNursery, 6))
+	inline := tb.Get(tb.Alloc(0x3000, 64, SpaceNursery, 4))
+	for name, f := range map[string]func(){
+		"Ref":           func() { tb.Ref(a, 6) },
+		"SetRef":        func() { tb.SetRef(a, 6, 1) },
+		"inline-only":   func() { tb.Ref(inline, 4) },
+		"inline-SetRef": func() { tb.SetRef(inline, 4, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			f()
+		})
+	}
+	for i := 0; i < 6; i++ {
+		if got := tb.Ref(b, i); got != Nil {
+			t.Errorf("neighbour's Ref(%d) = %d, want Nil", i, got)
+		}
+	}
+}
+
+// The record stays 40 bytes with no Go pointers: the table is a
+// no-scan allocation the host collector never walks.
+func TestObjectIs40BytesWithoutPointers(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 40 {
+		t.Errorf("Object is %d bytes, want 40", got)
+	}
+	if typ := reflect.TypeOf(Object{}); hasPointers(typ) {
+		t.Errorf("%v holds Go pointers", typ)
+	}
+}
+
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
+var sinkAddr uint64
+
+// BenchmarkTableGet prices Get's chunk lookup: random IDs over a
+// million records (40 MB), well beyond the host's caches.
+func BenchmarkTableGet(b *testing.B) {
+	const n = 1 << 20
+	tb := NewTable()
+	for i := 0; i < n; i++ {
+		tb.Alloc(uint64(i)*64, 64, SpaceNursery, 0)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	ids := make([]ObjID, 1<<16)
+	for i := range ids {
+		ids[i] = ObjID(rng.IntN(n) + 1)
+	}
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += tb.Get(ids[i&(len(ids)-1)]).Addr
+	}
+	sinkAddr = sum
 }
