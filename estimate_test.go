@@ -3,8 +3,12 @@ package hybridmem
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/trace/library"
 )
 
 // warmLibrary records spec live under pol with tracing on and files the
@@ -200,5 +204,61 @@ func TestEstimateIsSideChannel(t *testing.T) {
 	}
 	if withLib.Estimated || withLib.Estimate != nil {
 		t.Errorf("live Run tagged as estimated: %+v", withLib)
+	}
+}
+
+// TestResidentTraceAutotune: a grid priced from the estimate tier's
+// decoded-trace cache equals Autotune over the resident trace's bytes.
+// Grids and estimates share the cache concurrently: the trace is
+// decoded once, and only the estimates count as hits. A neighborhood
+// with no resident trace fails with the library's not-found error.
+func TestResidentTraceAutotune(t *testing.T) {
+	ctx := context.Background()
+	lib, err := OpenTraceLibrary(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := traceSpec()
+	warmLibrary(t, lib, WriteThreshold, spec)
+	p := New(WithScale(Quick), WithSeed(11), WithTraceLibrary(lib))
+
+	if _, err := p.ResidentTrace(RunSpec{AppName: "pmd", Collector: KGN}); !errors.Is(err, library.ErrNotFound) {
+		t.Fatalf("ResidentTrace of an empty neighborhood: %v, want library.ErrNotFound", err)
+	}
+	grid := KnobGrid{Policy: WriteThreshold, HotWriteLines: []uint64{64, 256, 1024},
+		ColdWriteLines: []uint64{0, 16, 64}}
+	tr, err := lib.Get(p.SpecKey(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Autotune(ctx, bytes.NewReader(tr.Bytes()), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 1 {
+				if _, ok := p.With(WithPolicy(WriteThreshold)).Estimate(spec); !ok {
+					t.Error("estimate missed on a warm library")
+				}
+				return
+			}
+			rt, err := p.ResidentTrace(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := rt.Autotune(ctx, grid)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("resident-trace report differs from Autotune over the bytes (err %v)\n got %+v\nwant %+v", err, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := p.EstimateStats(); st != (EstimateStats{Hits: 2, Loads: 1}) {
+		t.Errorf("estimate stats = %+v, want the two estimates' hits and one load", st)
 	}
 }

@@ -363,7 +363,7 @@ type Report struct {
 
 // Run replays every point of the grid against the trace in src and
 // assembles the report. The trace is decoded once (header + quanta)
-// and the in-memory records are replayed per point, so grid size
+// and RunDecoded replays the in-memory records per point, so grid size
 // multiplies only the replay work, not the JSON parsing; ctx cancels
 // between points.
 //
@@ -372,17 +372,32 @@ type Report struct {
 // together with the trace.ErrCorrupt that truncated it. A
 // version-skewed or headless trace fails before any point runs.
 func Run(ctx context.Context, src io.Reader, g Grid) (Report, error) {
-	var rep Report
 	if err := g.Validate(); err != nil {
-		return rep, err
+		return Report{}, err
 	}
 	hdr, quanta, truncated := trace.DecodeAll(src)
 	if truncated != nil && len(quanta) == 0 && hdr == (trace.Header{}) {
 		// No header at all (corrupt line 1 or version skew): nothing
 		// to price, fail the search up front.
-		return rep, truncated
+		return Report{}, truncated
 	}
-	rep.Header = hdr
+	rep, err := RunDecoded(ctx, hdr, quanta, g)
+	if err != nil {
+		return rep, err
+	}
+	return rep, truncated
+}
+
+// RunDecoded is Run over an already-decoded trace (trace.DecodeAll):
+// every grid point replays the same in-memory quanta, which are only
+// read, so callers that keep a decoded trace resident — the estimate
+// tier's cache — price any number of grids, concurrently, without
+// decoding again.
+func RunDecoded(ctx context.Context, hdr trace.Header, quanta []trace.Quantum, g Grid) (Report, error) {
+	rep := Report{Header: hdr}
+	if err := g.Validate(); err != nil {
+		return rep, err
+	}
 	pol, err := policy.NewPolicy(g.Policy.String())
 	if err != nil {
 		return rep, err
@@ -433,7 +448,7 @@ func Run(ctx context.Context, src io.Reader, g Grid) (Report, error) {
 			}
 		}
 	}
-	return rep, truncated
+	return rep, nil
 }
 
 // samePoint matches points by their knob tuple — unique per grid,

@@ -23,11 +23,15 @@
 // read and one decode, then replay concurrently over the shared
 // quanta (ReplayDecoded never mutates them). The cache revalidates
 // against the library's mutation generation, so a Put or Evict is
-// picked up by the next estimate without a watcher.
+// picked up by the next estimate without a watcher. Trace hands the
+// same decoded quanta to other offline pricing — the server's
+// library-sourced autotune grids — so a resident trace is decoded
+// once per library generation whatever asks.
 package estimate
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,9 +144,9 @@ func (e *Estimator) Estimate(specKey string, cfg policy.Config) (core.Result, er
 		return core.Result{}, library.ErrNotFound
 	}
 	ent := e.lookup(library.NeighborhoodKey(specKey))
-	if ent.err != nil {
+	if err := cmp.Or(ent.err, ent.baseErr); err != nil {
 		e.misses.Add(1)
-		return core.Result{}, ent.err
+		return core.Result{}, err
 	}
 	if ent.base == nil {
 		e.misses.Add(1)
@@ -200,15 +204,40 @@ func (e *Estimator) Estimate(specKey string, cfg policy.Config) (core.Result, er
 	return res, nil
 }
 
+// Trace returns the decoded trace covering specKey's neighborhood from
+// the cache Estimate answers from, for offline pricing other than an
+// estimate (autotune.RunDecoded). It counts neither a hit nor a miss —
+// those describe estimates — needs no baseline, and counts a load only
+// for a resident trace. The error wraps library.ErrNotFound when no
+// trace is resident; any other error means the resident trace could
+// not be read or decoded.
+func (e *Estimator) Trace(specKey string) (trace.Header, []trace.Quantum, error) {
+	if e == nil {
+		return trace.Header{}, nil, library.ErrNotFound
+	}
+	hood := library.NeighborhoodKey(specKey)
+	if !e.lib.Has(hood) {
+		return trace.Header{}, nil, fmt.Errorf("%w: %s", library.ErrNotFound, hood)
+	}
+	ent := e.lookup(hood)
+	if ent.err != nil {
+		return trace.Header{}, nil, ent.err
+	}
+	return ent.hdr, ent.quanta, nil
+}
+
 // entry is one neighborhood's decoded trace. ready closes when the
 // load finishes; joiners wait on it instead of re-reading the file.
+// err reports a trace that could not be read or decoded, baseErr a
+// baseline sidecar that could not be: the latter fails estimates only.
 type entry struct {
-	ready  chan struct{}
-	gen    uint64 // library generation the load started at
-	hdr    trace.Header
-	quanta []trace.Quantum
-	base   *Base
-	err    error
+	ready   chan struct{}
+	gen     uint64 // library generation the load started at
+	hdr     trace.Header
+	quanta  []trace.Quantum
+	base    *Base
+	err     error
+	baseErr error
 }
 
 // lookup returns the neighborhood's decoded entry, loading it once per
@@ -239,7 +268,7 @@ func (e *Estimator) lookup(hood string) *entry {
 
 	e.loads.Add(1)
 	ent.load(e.lib, hood)
-	if ent.err != nil {
+	if ent.err != nil || ent.baseErr != nil {
 		// Failed loads are not cached: the next estimate retries (the
 		// library may have been re-warmed in the meantime).
 		e.mu.Lock()
@@ -267,7 +296,7 @@ func (ent *entry) load(lib *library.Library, hood string) {
 	if raw := tr.Base(); raw != nil {
 		var b Base
 		if err := json.Unmarshal(raw, &b); err != nil {
-			ent.err = fmt.Errorf("estimate: decoding baseline for %s: %w", hood, err)
+			ent.baseErr = fmt.Errorf("estimate: decoding baseline for %s: %w", hood, err)
 			return
 		}
 		ent.base = &b

@@ -46,8 +46,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/heap"
@@ -271,8 +272,10 @@ type Tap interface {
 type Policy interface {
 	// Name is the registry name.
 	Name() string
-	// Decide returns the quantum's migrations, most urgent first; the
-	// engine truncates to cfg.MaxGroupsPerQuantum.
+	// Decide returns the quantum's migrations, most urgent first. The
+	// engine truncates the list to cfg.MaxGroupsPerQuantum; the
+	// built-in policies return at most that many, so only custom
+	// policies are cut.
 	Decide(v View, cfg Config) []Action
 }
 
@@ -327,58 +330,57 @@ type writeThresholdPolicy struct{}
 func (writeThresholdPolicy) Name() string { return WriteThreshold.String() }
 
 func (writeThresholdPolicy) Decide(v View, cfg Config) []Action {
+	limit := actionLimit(v, cfg)
 	// Demotions come first — under pressure, freeing DRAM takes
 	// priority over filling it, and the engine truncates the action
 	// list from the head.
 	var actions []Action
 	demoted := 0
 	if v.DRAMPages > cfg.DRAMBudgetPages {
-		var cold []GroupStat
+		cold := topK{k: limit, order: coldestFirst}
 		for _, g := range v.Groups {
 			if g.Node == DRAMNode && g.WriteLines <= cfg.ColdWriteLines {
-				cold = append(cold, g)
+				cold.push(rankKey{signal: g.WriteLines, addr: g.Addr, pages: g.Pages})
 			}
 		}
-		sort.Slice(cold, func(i, j int) bool {
-			if cold[i].WriteLines != cold[j].WriteLines {
-				return cold[i].WriteLines < cold[j].WriteLines
-			}
-			return cold[i].Addr < cold[j].Addr
-		})
+		// When the demotions alone reach the limit, demoted may fall
+		// short of what the uncut list would demote, but then no
+		// promotion survives the cut either.
 		excess := int(v.DRAMPages - cfg.DRAMBudgetPages)
-		for _, g := range cold {
+		keys := cold.sorted()
+		actions = slices.Grow(actions, len(keys))
+		for _, g := range keys {
 			if demoted >= excess {
 				break
 			}
-			actions = append(actions, Action{Addr: g.Addr, From: DRAMNode, To: PCMNode})
-			demoted += g.Pages
+			actions = append(actions, Action{Addr: g.addr, From: DRAMNode, To: PCMNode})
+			demoted += g.pages
 		}
+	}
+	if len(actions) == limit {
+		return actions
 	}
 
-	var hot []GroupStat
+	// Hottest first; address breaks ties so the order is total.
+	hot := topK{k: limit - len(actions), order: hottestFirst}
 	for _, g := range v.Groups {
 		if g.Node == PCMNode && g.WriteLines >= cfg.HotWriteLines {
-			hot = append(hot, g)
+			hot.push(rankKey{signal: g.WriteLines, addr: g.Addr, pages: g.Pages})
 		}
 	}
-	// Hottest first; address breaks ties so the order is total.
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].WriteLines != hot[j].WriteLines {
-			return hot[i].WriteLines > hot[j].WriteLines
-		}
-		return hot[i].Addr < hot[j].Addr
-	})
 	// Promotions respect the budget: a hot set larger than the free
 	// DRAM headroom keeps its coolest groups on PCM rather than
 	// growing DRAM residency without bound (which would end in frame
 	// exhaustion, not just a missed target).
 	free := int64(cfg.DRAMBudgetPages) - int64(v.DRAMPages) + int64(demoted)
-	for _, g := range hot {
-		if free < int64(g.Pages) {
+	keys := hot.sorted()
+	actions = slices.Grow(actions, len(keys))
+	for _, g := range keys {
+		if free < int64(g.pages) {
 			break
 		}
-		actions = append(actions, Action{Addr: g.Addr, From: PCMNode, To: DRAMNode})
-		free -= int64(g.Pages)
+		actions = append(actions, Action{Addr: g.addr, From: PCMNode, To: DRAMNode})
+		free -= int64(g.pages)
 	}
 	return actions
 }
@@ -402,23 +404,111 @@ func (wearLevelPolicy) Decide(v View, cfg Config) []Action {
 		return nil
 	}
 	threshold := cfg.WearFactor * sum / float64(n)
-	var worn []GroupStat
+	worn := topK{k: actionLimit(v, cfg), order: hottestFirst}
 	for _, g := range v.Groups {
 		if g.Node == PCMNode && float64(g.MaxWear) > threshold {
-			worn = append(worn, g)
+			worn.push(rankKey{signal: uint64(g.MaxWear), addr: g.Addr})
 		}
 	}
-	sort.Slice(worn, func(i, j int) bool {
-		if worn[i].MaxWear != worn[j].MaxWear {
-			return worn[i].MaxWear > worn[j].MaxWear
-		}
-		return worn[i].Addr < worn[j].Addr
-	})
-	var actions []Action
-	for _, g := range worn {
-		actions = append(actions, Action{Addr: g.Addr, From: PCMNode, To: PCMNode})
+	keys := worn.sorted()
+	if len(keys) == 0 {
+		return nil
+	}
+	actions := make([]Action, len(keys))
+	for i, g := range keys {
+		actions[i] = Action{Addr: g.addr, From: PCMNode, To: PCMNode}
 	}
 	return actions
+}
+
+// actionLimit is how many actions a built-in Decide returns at most:
+// cfg.MaxGroupsPerQuantum, the engine's truncation point. A view can
+// yield at most one action per group, so an unset bound (a Config
+// that skipped WithDefaults) means all of them.
+func actionLimit(v View, cfg Config) int {
+	if m := cfg.MaxGroupsPerQuantum; m > 0 && m < len(v.Groups) {
+		return m
+	}
+	return len(v.Groups)
+}
+
+// rankKey is the compact record the built-in policies rank in place of
+// whole GroupStats: the group's ranking signal (write lines or wear),
+// its address, and the pages a migration of it moves.
+type rankKey struct {
+	signal uint64
+	addr   uint64
+	pages  int
+}
+
+// hottestFirst orders by signal descending, coldestFirst ascending;
+// both break ties by address, so each is a total order over a view.
+func hottestFirst(a, b rankKey) int {
+	if c := cmp.Compare(b.signal, a.signal); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.addr, b.addr)
+}
+
+func coldestFirst(a, b rankKey) int {
+	if c := cmp.Compare(a.signal, b.signal); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.addr, b.addr)
+}
+
+// topK keeps the first k of the keys pushed to it under order, without
+// ordering the rest: a bounded heap whose root is the last key kept,
+// so a candidate that cannot make the cut costs one comparison.
+type topK struct {
+	k     int
+	order func(a, b rankKey) int
+	heap  []rankKey
+}
+
+// push offers one candidate.
+func (t *topK) push(x rankKey) {
+	h := t.heap
+	if len(h) < t.k {
+		if h == nil {
+			h = make([]rankKey, 0, t.k)
+		}
+		h = append(h, x)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if t.order(h[p], h[i]) >= 0 {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		t.heap = h
+		return
+	}
+	if len(h) == 0 || t.order(x, h[0]) >= 0 {
+		return
+	}
+	h[0] = x
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && t.order(h[r], h[c]) > 0 {
+			c = r
+		}
+		if t.order(h[i], h[c]) >= 0 {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sorted returns the kept keys in order.
+func (t *topK) sorted() []rankKey {
+	slices.SortFunc(t.heap, t.order)
+	return t.heap
 }
 
 // Stats accumulates the engine's work across a run.

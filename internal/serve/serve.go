@@ -1125,11 +1125,13 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 
 	if s.lib != nil && req.Source != "live" {
 		key := p.SpecKey(spec)
-		tr, lerr := s.lib.Get(key)
+		tr, lerr := p.ResidentTrace(spec)
 		switch {
 		case lerr == nil:
-			// Price the grid against the resident trace: no emulation,
-			// no admission slot — replay is milliseconds of CPU.
+			// Price the grid against the resident trace, decoded once
+			// per library generation by the estimate tier: no
+			// emulation, no admission slot — replay is milliseconds of
+			// CPU.
 			s.libHits.Add(1)
 			ctx, sp := s.tel.Tracer.Start(r.Context(), "autotune")
 			sp.SetAttr("app", spec.AppName)
@@ -1137,7 +1139,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			defer sp.End()
 			h := s.runs.Begin("autotune", spec.AppName, key,
 				sp.Context().TraceID, sp.Context().SpanID, "")
-			rep, aerr := hybridmem.Autotune(ctx, bytes.NewReader(tr.Bytes()), grid)
+			rep, aerr := tr.Autotune(ctx, grid)
 			if aerr != nil {
 				h.Finish("", aerr)
 				fail(w, http.StatusInternalServerError, aerr)
@@ -1147,9 +1149,6 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Trace-Source", "library")
 			json.NewEncoder(w).Encode(rep)
-			return
-		case !errors.Is(lerr, library.ErrNotFound):
-			fail(w, http.StatusInternalServerError, lerr)
 			return
 		case req.Source == "library":
 			fail(w, http.StatusNotFound, lerr)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,18 +246,80 @@ func TestAutotuneFromLibrary(t *testing.T) {
 		t.Error("library-priced report differs from the live-priced report over the same trace")
 	}
 
-	// The library hit never touched the platform: exactly one run
+	// Library autotunes price from the estimate tier's decoded-trace
+	// cache: one load per library generation however many grids ask,
+	// and never an estimate hit or miss.
+	resp = postJSON(t, ts.URL+"/v1/autotune", req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("third autotune = %d", resp.StatusCode)
+	}
+	if st := s.p.EstimateStats(); st != (hybridmem.EstimateStats{Loads: 1}) {
+		t.Errorf("estimate stats after two library autotunes = %+v, want one load and no hits or misses", st)
+	}
+	if hits, misses := s.libHits.Load(), s.libMisses.Load(); hits != 2 || misses != 1 {
+		t.Errorf("library hits/misses = %d/%d, want 2/1", hits, misses)
+	}
+
+	// The library hits never touched the platform: exactly one run
 	// (the first, live autotune) executed.
 	libRuns := s.runs.List(func(ri RunInfo) bool {
 		return ri.Kind == "autotune" && ri.Outcome == OutcomeLibrary
 	})
-	if len(libRuns) != 1 {
-		t.Errorf("flight recorder has %d library autotunes, want 1", len(libRuns))
+	if len(libRuns) != 2 {
+		t.Errorf("flight recorder has %d library autotunes, want 2", len(libRuns))
 	}
 	computed := s.runs.List(func(ri RunInfo) bool {
 		return ri.Kind == "autotune" && ri.Outcome == OutcomeComputed
 	})
 	if len(computed) != 1 {
 		t.Errorf("flight recorder has %d computed autotunes, want 1", len(computed))
+	}
+}
+
+// TestAutotuneFromCorruptLibraryTrace: a resident trace whose body no
+// longer decodes is still a library hit, and the grid fails with 500
+// instead of falling through to a live recording.
+func TestAutotuneFromCorruptLibraryTrace(t *testing.T) {
+	s, lib, ts := newLibraryServer(t)
+	req := AutotuneRequest{
+		Run:    RunRequest{App: "PR", Collector: "KG-N"},
+		Grid:   AutotuneGrid{Policy: "write-threshold", HotWriteLines: []uint64{2100, 3000}},
+		Source: "live",
+	}
+	resp := postJSON(t, ts.URL+"/v1/autotune", req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || lib.Len() != 1 {
+		t.Fatalf("live autotune = %d with %d library traces, want 200 and 1", resp.StatusCode, lib.Len())
+	}
+	// Mangle the first quantum record; the header and footer the
+	// library validates on read stay intact.
+	files, err := filepath.Glob(filepath.Join(lib.Dir(), "*.ndjson"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("library files = %v, %v", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitN(data, []byte("\n"), 3)
+	lines[1] = []byte(`{"q":1,"proc":`)
+	if err := os.WriteFile(files[0], bytes.Join(lines, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	req.Source = ""
+	resp = postJSON(t, ts.URL+"/v1/autotune", req)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "corrupt") {
+		t.Fatalf("autotune over a corrupt resident trace = %d: %s, want 500 naming the corruption", resp.StatusCode, body)
+	}
+	if hits, misses := s.libHits.Load(), s.libMisses.Load(); hits != 1 || misses != 0 {
+		t.Errorf("library hits/misses = %d/%d, want 1/0", hits, misses)
+	}
+	failed := s.runs.List(func(ri RunInfo) bool { return ri.Kind == "autotune" && ri.State == RunFailed })
+	if len(failed) != 1 {
+		t.Errorf("flight recorder has %d failed autotunes, want 1", len(failed))
 	}
 }

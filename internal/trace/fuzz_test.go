@@ -43,7 +43,45 @@ func seedCorpus(f F) []byte {
 	mutated := append([]byte(nil), golden...)
 	mutated[len(mutated)/3] ^= 0x20 // flip a byte inside a record
 	f.Add(mutated)
+	// A keyframe whose second run steps back below the first: parseable
+	// JSON the reader must reject for its address order.
+	// The header is cloned: appending to a sub-slice of golden would
+	// write over the golden seeds above, which f.Add does not copy.
+	header, _, _ := bytes.Cut(golden, []byte("\n"))
+	f.Add(append(bytes.Clone(header), "\n{\"q\":1,\"proc\":\"p\",\"key\":true,\"g\":[[1048576,1,0,16],[-196608,1,1,16]]}\n"...))
 	return golden
+}
+
+// seedRecorder is an F that keeps the seeds it is given.
+type seedRecorder struct {
+	*testing.T
+	seeds [][]byte
+}
+
+func (r *seedRecorder) Add(args ...any) { r.seeds = append(r.seeds, args[0].([]byte)) }
+
+// TestSeedCorpusKeepsGoldenClean: the seeds cut from the golden stay
+// byte-equal to the committed file and its prefixes once the whole
+// corpus is built, and the full golden seed decodes without error — so
+// both fuzz targets start from a clean real trace.
+func TestSeedCorpusKeepsGoldenClean(t *testing.T) {
+	onDisk, err := os.ReadFile(fuzzGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &seedRecorder{T: t}
+	golden := seedCorpus(rec)
+	if !bytes.Equal(golden, onDisk) {
+		t.Fatal("seedCorpus returned a golden that differs from the file")
+	}
+	for i, want := range [][]byte{onDisk, onDisk[:len(onDisk)/2], onDisk[:len(onDisk)/7]} {
+		if !bytes.Equal(rec.seeds[i], want) {
+			t.Fatalf("seed %d is no longer the golden or its prefix", i)
+		}
+	}
+	if _, _, err := DecodeAll(bytes.NewReader(rec.seeds[0])); err != nil {
+		t.Fatalf("golden seed does not decode cleanly: %v", err)
+	}
 }
 
 // F is the subset of *testing.F the corpus seeder needs; it keeps
@@ -200,6 +238,20 @@ func FuzzReplayDelta(f *testing.F) {
 			}
 			if !execEqual(g.Exec, want.Exec) {
 				t.Fatalf("quantum %d: exec diverges: got %v want %v", i, g.Exec, want.Exec)
+			}
+		}
+
+		requireViewsMatchReference(t, buf.Bytes(), got)
+
+		// The replay engine must agree with the reference engine on
+		// every synthesized evolution, under every built-in policy —
+		// with the recorded knobs and with a budget small enough that
+		// write-threshold demotes.
+		tight := h.PolicyConfig()
+		tight.DRAMBudgetPages, tight.ColdWriteLines = 8, 16
+		for _, pol := range builtinPolicies(t) {
+			for _, cfg := range []policy.Config{h.PolicyConfig(), tight} {
+				requireReplayMatchesReference(t, pol.Name(), h, got, pol, cfg)
 			}
 		}
 	})

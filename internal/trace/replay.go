@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/policy"
 )
@@ -159,7 +161,10 @@ func DecodeAll(src io.Reader) (Header, []Quantum, error) {
 // ReplayDecoded is ReplayWith over an already-decoded trace: pol is
 // re-driven across the quanta under cfg, priced with the header's
 // recorded cost constants. The records are only read, never mutated,
-// so one decoded trace serves any number of concurrent replays.
+// so one decoded trace serves any number of concurrent replays. Each
+// view must list its groups in strictly ascending address order, as
+// DecodeAll's do; a hand-built view that does not fails the replay
+// with ErrCorrupt.
 func ReplayDecoded(h Header, quanta []Quantum, pol policy.Policy, cfg policy.Config) (ReplayStats, error) {
 	i := 0
 	next := func() (Quantum, error) {
@@ -208,31 +213,16 @@ func replayLoop(h Header, next func() (Quantum, error), pol policy.Policy, overr
 		cfg = override.WithDefaults()
 	}
 
-	// tiers tracks each group's tier under three decision histories:
-	// none (baseline), the recorded run's, and the replayed policy's.
-	// All three seed from the group's first-observed tier. The key
-	// includes the quantum's process: multiprogrammed instances share
-	// one virtual heap layout, so the same group address in two
-	// processes is two different groups.
-	type groupKey struct {
-		proc string
-		addr uint64
-	}
-	type groupTier struct {
-		baseline int
-		replayed int
-	}
-	tiers := map[groupKey]*groupTier{}
-
-	// lastView remembers each process's most recent view so a clean EOF
-	// can sum final residency per tier under the recorded vs replayed
-	// decision histories. The slices are only read, never mutated.
-	lastView := map[string][]policy.GroupStat{}
+	// procs holds each process's replay state, looked up once per
+	// quantum. Multiprogrammed instances share one virtual heap layout,
+	// so the same group address in two processes is two different
+	// groups.
+	procs := map[string]*procState{}
 
 	// Rollback snapshot: the stats as of the last keyframe boundary
 	// (record indexes 0, K, 2K, ...). Taken only when the source can
-	// fail mid-stream; the tier maps need no snapshot because an error
-	// ends the loop — there is no accounting after the restore.
+	// fail mid-stream; the process states need no snapshot because an
+	// error ends the loop — there is no accounting after the restore.
 	k := h.KeyframeInterval
 	snapshot := canFail && k > 0
 	snapStats := st
@@ -243,22 +233,18 @@ func replayLoop(h Header, next func() (Quantum, error), pol policy.Policy, overr
 		}
 		q, err := next()
 		if err == io.EOF {
-			for proc, groups := range lastView {
-				for _, g := range groups {
-					pages := uint64(g.Pages)
-					if gt, ok := tiers[groupKey{proc, g.Addr}]; ok && gt.replayed == policy.PCMNode {
-						st.ReplayedPCMPages += pages
-					} else {
-						st.ReplayedDRAMPages += pages
-					}
-					if g.Node == policy.PCMNode {
-						st.RecordedPCMPages += pages
-					} else {
-						st.RecordedDRAMPages += pages
-					}
-				}
+			for _, ps := range procs {
+				ps.addResidency(&st)
 			}
 			return st, nil
+		}
+		var ps *procState
+		if err == nil {
+			if ps = procs[q.Proc]; ps == nil {
+				ps = &procState{}
+				procs[q.Proc] = ps
+			}
+			err = ps.observe(q, &st)
 		}
 		if err != nil {
 			if snapshot {
@@ -269,32 +255,6 @@ func replayLoop(h Header, next func() (Quantum, error), pol policy.Policy, overr
 			return st, err
 		}
 		st.Quanta++
-		lastView[q.Proc] = q.View.Groups
-
-		// Window write accounting under each placement history. The
-		// recorded view's Node is the recorded run's placement; pages
-		// is what a migration of this group would move.
-		pages := make(map[uint64]int, len(q.View.Groups))
-		for _, g := range q.View.Groups {
-			pages[g.Addr] = g.Pages
-			gt, ok := tiers[groupKey{q.Proc, g.Addr}]
-			if !ok {
-				gt = &groupTier{baseline: g.Node, replayed: g.Node}
-				tiers[groupKey{q.Proc, g.Addr}] = gt
-			}
-			if g.WriteLines == 0 {
-				continue
-			}
-			if gt.baseline == policy.PCMNode {
-				st.BaselinePCMWriteLines += g.WriteLines
-			}
-			if g.Node == policy.PCMNode {
-				st.RecordedPCMWriteLines += g.WriteLines
-			}
-			if gt.replayed == policy.PCMNode {
-				st.PCMWriteLines += g.WriteLines
-			}
-		}
 
 		// Re-drive the policy against the recorded view, exactly as
 		// the engine would: decide, then truncate.
@@ -317,19 +277,142 @@ func replayLoop(h Header, next func() (Quantum, error), pol policy.Policy, overr
 				st.FirstMismatchQuantum = q.Q
 			}
 			// Divergent decision: price it with the recorded cost
-			// constants, moving every resident page of the group.
+			// constants, moving every resident page of the group — as
+			// this record listed it; a group the record did not list
+			// moves nothing.
 			for _, a := range actions {
-				moved := pages[a.Addr]
+				moved := 0
+				if g := ps.find(a.Addr); g != nil && g.seen == ps.records {
+					moved = g.pages
+				}
 				st.PagesMigrated += uint64(moved)
 				st.StallCycles += float64(moved)*h.MigrationPageCycles + h.TLBShootdownCycles
 			}
 		}
 
-		// The replayed decision history owns the replayed tier map.
+		// The replayed decision history owns the replayed tier.
 		for _, a := range actions {
-			if gt, ok := tiers[groupKey{q.Proc, a.Addr}]; ok && a.From != a.To {
-				gt.replayed = a.To
+			if a.From == a.To {
+				continue
 			}
+			if g := ps.find(a.Addr); g != nil {
+				g.replayedPCM = a.To == policy.PCMNode
+			}
+		}
+	}
+}
+
+// groupState is one page group of a process as the replay tracks it:
+// whether it sits on PCM under no migrations at all (the baseline,
+// its first-observed tier) and under the replayed decision history,
+// plus — as of the latest record that listed it — the recorded run's
+// tier, its resident pages, and that record's number. Only "on PCM or
+// not" is ever asked of a tier, so one flag each keeps the record at
+// 24 bytes.
+type groupState struct {
+	addr        uint64
+	pages       int
+	seen        uint32
+	baselinePCM bool
+	replayedPCM bool
+	recordedPCM bool
+}
+
+// procState is one process's replay state: every group any of its
+// records listed, in address order, and the count of its records so
+// far (a group with seen == records is in the latest view).
+type procState struct {
+	groups  []groupState
+	spare   []groupState // merge target, swapped with groups
+	records uint32
+}
+
+// observe merges a quantum's view into the process's state in one pass
+// — both sides are address-ordered — and charges the view's window
+// writes to each placement history. A view out of address order
+// leaves the state and stats untouched and fails as ErrCorrupt; the
+// Reader rejects such views, so only hand-built quanta reach it.
+func (p *procState) observe(q Quantum, st *ReplayStats) error {
+	view := q.View.Groups
+	old := p.groups
+	out := p.spare[:0]
+	if need := len(old) + len(view); cap(out) < need {
+		out = make([]groupState, 0, need)
+	}
+	seen := p.records + 1
+	var baseW, recW, repW uint64
+	i := 0
+	for j, g := range view {
+		if j > 0 && g.Addr <= view[j-1].Addr {
+			return fmt.Errorf("%w: quantum %d of %q: view groups not in ascending address order",
+				ErrCorrupt, q.Q, q.Proc)
+		}
+		for i < len(old) && old[i].addr < g.Addr {
+			out = append(out, old[i])
+			i++
+		}
+		pcm := g.Node == policy.PCMNode
+		gs := groupState{addr: g.Addr, baselinePCM: pcm, replayedPCM: pcm}
+		if i < len(old) && old[i].addr == g.Addr {
+			gs = old[i]
+			i++
+		}
+		gs.pages, gs.seen, gs.recordedPCM = g.Pages, seen, pcm
+		out = append(out, gs)
+
+		// Window write accounting under each placement history. The
+		// recorded view's Node is the recorded run's placement.
+		if g.WriteLines == 0 {
+			continue
+		}
+		if gs.baselinePCM {
+			baseW += g.WriteLines
+		}
+		if pcm {
+			recW += g.WriteLines
+		}
+		if gs.replayedPCM {
+			repW += g.WriteLines
+		}
+	}
+	out = append(out, old[i:]...)
+	p.groups, p.spare, p.records = out, old, seen
+	st.BaselinePCMWriteLines += baseW
+	st.RecordedPCMWriteLines += recW
+	st.PCMWriteLines += repW
+	return nil
+}
+
+// find returns the state of the group at addr, nil if no record of
+// the process ever listed it.
+func (p *procState) find(addr uint64) *groupState {
+	i, ok := slices.BinarySearchFunc(p.groups, addr, func(g groupState, a uint64) int {
+		return cmp.Compare(g.addr, a)
+	})
+	if !ok {
+		return nil
+	}
+	return &p.groups[i]
+}
+
+// addResidency sums the process's final-view residency: the pages of
+// the groups its last record listed, per tier, as the replayed
+// decision history and as the recorded run placed them.
+func (p *procState) addResidency(st *ReplayStats) {
+	for _, g := range p.groups {
+		if g.seen != p.records {
+			continue
+		}
+		pages := uint64(g.pages)
+		if g.replayedPCM {
+			st.ReplayedPCMPages += pages
+		} else {
+			st.ReplayedDRAMPages += pages
+		}
+		if g.recordedPCM {
+			st.RecordedPCMPages += pages
+		} else {
+			st.RecordedDRAMPages += pages
 		}
 	}
 }

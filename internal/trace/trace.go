@@ -59,7 +59,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/heap"
@@ -315,9 +314,10 @@ func encodeRuns(groups []policy.GroupStat, groupBytes uint64) [][]int64 {
 	return runs
 }
 
-// decodeRuns expands run-length-encoded groups. It is the exact
-// inverse of encodeRuns for any input, including unsorted group lists
-// (deltas may be negative).
+// decodeRuns expands run-length-encoded groups. It inverts encodeRuns
+// for the strictly address-ascending group lists the Recorder writes —
+// views, and the changed groups of a delta — and rejects a list in any
+// other order.
 func decodeRuns(runs [][]int64, groupBytes uint64) ([]policy.GroupStat, error) {
 	if len(runs) == 0 {
 		return nil, nil
@@ -341,8 +341,12 @@ func decodeRuns(runs [][]int64, groupBytes uint64) ([]policy.GroupStat, error) {
 		}
 		addr := prevEnd + run[0]
 		for k := int64(0); k < count; k++ {
+			a := uint64(addr + k*gb)
+			if n := len(groups); n > 0 && a <= groups[n-1].Addr {
+				return nil, fmt.Errorf("group address %#x does not ascend past %#x", a, groups[n-1].Addr)
+			}
 			groups = append(groups, policy.GroupStat{
-				Addr:       uint64(addr + k*gb),
+				Addr:       a,
 				Node:       int(run[2]),
 				Pages:      int(run[3]),
 				WriteLines: uint64(at(4)),
@@ -370,18 +374,22 @@ func encodeAddrs(addrs []uint64) []int64 {
 	return out
 }
 
-// decodeAddrs inverts encodeAddrs.
-func decodeAddrs(deltas []int64) []uint64 {
+// decodeAddrs inverts encodeAddrs, rejecting a list that is not
+// strictly ascending.
+func decodeAddrs(deltas []int64) ([]uint64, error) {
 	if len(deltas) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]uint64, len(deltas))
 	prev := int64(0)
 	for i, d := range deltas {
 		prev += d
 		out[i] = uint64(prev)
+		if i > 0 && out[i] <= out[i-1] {
+			return nil, fmt.Errorf("tombstone address %#x does not ascend past %#x", out[i], out[i-1])
+		}
 	}
-	return out
+	return out, nil
 }
 
 // encodeActions packs actions as [addr, from, to] triples.
@@ -448,7 +456,9 @@ func decodeExec(in [][]float64) ([]policy.Exec, error) {
 //
 // Write failures latch: the first error sticks, later quanta are
 // dropped, and Err returns it so the run can surface a broken sink
-// once instead of once per quantum.
+// once instead of once per quantum. A view whose groups are not in
+// strictly ascending address order (policy.View's contract, and the
+// order the Reader enforces) latches an error the same way.
 type Recorder struct {
 	mu         sync.Mutex
 	w          io.Writer
@@ -500,6 +510,12 @@ func (r *Recorder) OnQuantum(proc string, v policy.View, actions []policy.Action
 	if r.err != nil || r.closed {
 		return
 	}
+	for i := 1; i < len(v.Groups); i++ {
+		if v.Groups[i].Addr <= v.Groups[i-1].Addr {
+			r.err = fmt.Errorf("trace: quantum %d: view groups not in address order", v.Quantum)
+			return
+		}
+	}
 
 	idx := int(r.quanta)
 	ivl := idx / r.interval
@@ -542,27 +558,30 @@ func (r *Recorder) OnQuantum(proc string, v policy.View, actions []policy.Action
 }
 
 // diffViews computes the delta from prev to cur: run-encoded changed
-// or new groups, and tombstones for groups no longer present.
+// or new groups, and tombstones for groups no longer present. Both
+// views are strictly address-ascending (OnQuantum rejects any other),
+// so one merge pass finds both lists, each already in address order.
 func diffViews(prev, cur []policy.GroupStat, groupBytes uint64) (g [][]int64, rm []int64) {
-	old := make(map[uint64]policy.GroupStat, len(prev))
-	for _, p := range prev {
-		old[p.Addr] = p
-	}
 	var changed []policy.GroupStat
-	seen := make(map[uint64]bool, len(cur))
-	for _, c := range cur {
-		seen[c.Addr] = true
-		if o, ok := old[c.Addr]; !ok || !payloadEqual(o, c) {
-			changed = append(changed, c)
-		}
-	}
 	var removed []uint64
-	for _, p := range prev {
-		if !seen[p.Addr] {
-			removed = append(removed, p.Addr)
+	i := 0
+	for _, c := range cur {
+		for i < len(prev) && prev[i].Addr < c.Addr {
+			removed = append(removed, prev[i].Addr)
+			i++
 		}
+		if i < len(prev) && prev[i].Addr == c.Addr {
+			if !payloadEqual(prev[i], c) {
+				changed = append(changed, c)
+			}
+			i++
+			continue
+		}
+		changed = append(changed, c)
 	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
+	for ; i < len(prev); i++ {
+		removed = append(removed, prev[i].Addr)
+	}
 	return encodeRuns(changed, groupBytes), encodeAddrs(removed)
 }
 
@@ -813,7 +832,11 @@ func (r *Reader) reconstruct(rec wireRecord) (Quantum, error) {
 		if err != nil {
 			return Quantum{}, err
 		}
-		groups = applyDelta(r.prev[rec.Proc], changed, decodeAddrs(rec.RM))
+		removed, err := decodeAddrs(rec.RM)
+		if err != nil {
+			return Quantum{}, err
+		}
+		groups = applyDelta(r.prev[rec.Proc], changed, removed)
 	}
 	r.prev[rec.Proc] = groups
 	r.lastIvl[rec.Proc] = ivl
@@ -842,29 +865,41 @@ func (r *Reader) reconstruct(rec wireRecord) (Quantum, error) {
 }
 
 // applyDelta merges changed groups and tombstones into the previous
-// view, returning a fresh address-sorted group list.
+// view, returning a fresh address-sorted group list. All three inputs
+// are strictly address-ascending (the decoders enforce it), so one
+// linear pass merges them: a changed group replaces or joins the
+// previous one at its address, and a tombstone drops whatever the
+// merge holds there — tombstones naming no group are ignored.
 func applyDelta(prev, changed []policy.GroupStat, removed []uint64) []policy.GroupStat {
 	if len(changed) == 0 && len(removed) == 0 {
 		return prev
 	}
-	merged := make(map[uint64]policy.GroupStat, len(prev)+len(changed))
-	for _, g := range prev {
-		merged[g.Addr] = g
-	}
-	for _, g := range changed {
-		merged[g.Addr] = g
-	}
-	for _, a := range removed {
-		delete(merged, a)
-	}
-	if len(merged) == 0 {
-		return nil
-	}
-	out := make([]policy.GroupStat, 0, len(merged))
-	for _, g := range merged {
+	out := make([]policy.GroupStat, 0, len(prev)+len(changed))
+	i, j, k := 0, 0, 0
+	for i < len(prev) || j < len(changed) {
+		var g policy.GroupStat
+		switch {
+		case j == len(changed) || i < len(prev) && prev[i].Addr < changed[j].Addr:
+			g = prev[i]
+			i++
+		default:
+			if i < len(prev) && prev[i].Addr == changed[j].Addr {
+				i++
+			}
+			g = changed[j]
+			j++
+		}
+		for k < len(removed) && removed[k] < g.Addr {
+			k++
+		}
+		if k < len(removed) && removed[k] == g.Addr {
+			continue
+		}
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 

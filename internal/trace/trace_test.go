@@ -679,3 +679,33 @@ func TestReplayWithOverridesKnobs(t *testing.T) {
 			recorded.PCMWriteLines, cold.PCMWriteLines)
 	}
 }
+
+// BenchmarkDecodeAll decodes the committed golden trace from bytes:
+// JSON parsing, run expansion and delta reconstruction.
+func BenchmarkDecodeAll(b *testing.B) {
+	data, _, _ := decodeGolden(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := DecodeAll(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplayDecoded replays the decoded golden trace under its
+// recorded policy and knobs, as the estimate tier answers a
+// same-policy request.
+func BenchmarkReplayDecoded(b *testing.B) {
+	_, h, quanta := decodeGolden(b)
+	pol, err := policy.NewPolicy(h.Policy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := h.PolicyConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReplayDecoded(h, quanta, pol, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

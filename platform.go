@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/fabric/jobs"
@@ -707,6 +708,38 @@ func (p *Platform) Estimate(spec RunSpec) (Result, bool) {
 // WithTraceLibrary.
 func (p *Platform) EstimateStats() EstimateStats {
 	return p.cfg.estimator.Stats()
+}
+
+// ResidentTrace is a trace-library trace as the estimate tier holds it:
+// decoded once per library generation and shared, read-only, by every
+// estimate and knob grid priced over it.
+type ResidentTrace struct {
+	hdr    trace.Header
+	quanta []trace.Quantum
+	err    error // the resident trace could not be read or decoded
+}
+
+// ResidentTrace returns the trace the attached trace library
+// (WithTraceLibrary) holds for spec's neighborhood, from the estimate
+// tier's decoded-trace cache. It fails only when no trace is resident
+// (with the library's not-found error, also when no library is
+// attached); a resident trace that cannot be read or decoded fails its
+// Autotune instead. Neither call counts as an estimate hit or miss.
+func (p *Platform) ResidentTrace(spec RunSpec) (*ResidentTrace, error) {
+	hdr, quanta, err := p.cfg.estimator.Trace(p.SpecKey(spec))
+	if errors.Is(err, library.ErrNotFound) {
+		return nil, err
+	}
+	return &ResidentTrace{hdr: hdr, quanta: quanta, err: err}, nil
+}
+
+// Autotune is the package-level Autotune over the resident trace: the
+// grid is priced from the decoded quanta, with no file read or decode.
+func (t *ResidentTrace) Autotune(ctx context.Context, grid KnobGrid) (AutotuneReport, error) {
+	if t.err != nil {
+		return AutotuneReport{}, t.err
+	}
+	return autotune.RunDecoded(ctx, t.hdr, t.quanta, grid)
 }
 
 // WarmTraceLibrary files a recorded trace in lib together with its
