@@ -199,6 +199,55 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	checkManifest(t, quickGridManifest, digests)
 }
 
+// graphChiManifest pins the SHA-256 of quick GraphChi cells' Results,
+// one "<hex>  <cell>" line per cell, as quickGridManifest does for the
+// DaCapo grid. GraphChi graphs are seeded by kind, not by the run
+// seed, so the two policy cells must also equal the emulate-graph
+// entries of perfbench/oracle.json, which are recorded at seed 1.
+const graphChiManifest = "testdata/graphchi_quick.sha256"
+
+// graphChiCell is one pinned GraphChi experiment: a spec under a
+// placement policy on a quick platform.
+type graphChiCell struct {
+	name   string
+	spec   RunSpec
+	policy Policy
+}
+
+// graphChiCells covers each vertex program under KG-N, PageRank under
+// KG-W and both migrating policies, and the C++ versions of PR and
+// ALS. The race detector runs two of them, one managed and one native.
+func graphChiCells() []graphChiCell {
+	cells := []graphChiCell{
+		{"PR/KG-N", RunSpec{AppName: "PR", Collector: KGN}, Static},
+		{"ALS/native", RunSpec{AppName: "ALS", Native: true}, Static},
+		{"CC/KG-N", RunSpec{AppName: "CC", Collector: KGN}, Static},
+		{"ALS/KG-N", RunSpec{AppName: "ALS", Collector: KGN}, Static},
+		{"PR/KG-W", RunSpec{AppName: "PR", Collector: KGW}, Static},
+		{"PR/native", RunSpec{AppName: "PR", Native: true}, Static},
+		{"PR/KG-N/write-threshold", RunSpec{AppName: "PR", Collector: KGN}, WriteThreshold},
+		{"PR/KG-N/wear-level", RunSpec{AppName: "PR", Collector: KGN}, WearLevel},
+	}
+	if raceEnabled {
+		cells = cells[:2]
+	}
+	return cells
+}
+
+// TestGraphChiMatchesManifest checks each GraphChi cell's Result
+// against its digest in graphChiManifest.
+func TestGraphChiMatchesManifest(t *testing.T) {
+	var digests []cellDigest
+	for _, c := range graphChiCells() {
+		res, err := New(WithScale(Quick), WithSeed(7), WithPolicy(c.policy)).Run(context.Background(), c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		digests = append(digests, digestCell(t, c.name, res))
+	}
+	checkManifest(t, graphChiManifest, digests)
+}
+
 // cellDigest is one line of a Result manifest.
 type cellDigest struct{ cell, sum string }
 
