@@ -1,8 +1,9 @@
 package hybridmem_test
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §3 for the experiment index) plus
-// the ablation studies of DESIGN.md §4. One benchmark iteration runs
+// paper's evaluation plus the ablation studies, one driver each in
+// internal/experiments (docs/architecture.md describes the stack they
+// run on). One benchmark iteration runs
 // the complete experiment at Quick scale; custom metrics report the
 // headline quantities so `go test -bench` output doubles as a compact
 // reproduction report. cmd/paperfigs renders the same experiments at

@@ -1,7 +1,7 @@
 // Command paperfigs regenerates every table and figure of the paper's
 // evaluation (Tables I–III, Figures 3–8) plus the ablation studies,
-// printing the same rows and series the paper reports. The output is
-// the raw material of EXPERIMENTS.md.
+// printing the same rows and series the paper reports, ready to set
+// beside the paper's own numbers.
 //
 // Usage:
 //

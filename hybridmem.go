@@ -304,8 +304,8 @@ const (
 	// Quick is CI-sized: quarter-scale allocation profiles and
 	// LLC-sized graphs.
 	Quick Scale = iota
-	// Std is the EXPERIMENTS.md scale: full DaCapo profiles, 1M-edge
-	// graphs, 4x large datasets.
+	// Std is the standard reproduction scale: full DaCapo profiles,
+	// 1M-edge graphs, 4x large datasets.
 	Std
 	// Full is the paper's scale (10x large datasets; slow).
 	Full

@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Victim describes a line displaced by an allocation.
@@ -69,7 +70,30 @@ type Cache struct {
 	setBits uint
 	mask    uint64
 	words   []uint32
-	stats   Stats
+	// buf points at words, for Release; both are nil once released.
+	buf   *[]uint32
+	stats Stats
+}
+
+// wordPools hold the way arrays of released caches (see Release) for
+// later ones, one pool per bits.Len of the array's length, so that an
+// L1's array does not stand in for an L3's.
+var wordPools [64]sync.Pool
+
+// newWords returns a zeroed way array of n words, recycled from a
+// released cache when one of a fitting size is pooled.
+func newWords(n int) *[]uint32 {
+	pool := &wordPools[bits.Len(uint(n))]
+	if buf, _ := pool.Get().(*[]uint32); buf != nil {
+		if cap(*buf) >= n {
+			*buf = (*buf)[:n]
+			clear(*buf)
+			return buf
+		}
+		pool.Put(buf)
+	}
+	words := make([]uint32, n)
+	return &words
 }
 
 // maxTag is the widest tag a way's word can hold: (maxTag+1)<<1 | 1
@@ -98,6 +122,7 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
+	buf := newWords(int(sets) * cfg.Ways)
 	return &Cache{
 		cfg:     cfg,
 		sets:    sets,
@@ -106,8 +131,19 @@ func New(cfg Config) *Cache {
 		pow2:    sets&(sets-1) == 0,
 		setBits: uint(bits.TrailingZeros64(sets)),
 		mask:    sets - 1,
-		words:   make([]uint32, sets*uint64(cfg.Ways)),
+		words:   *buf,
+		buf:     buf,
 	}
+}
+
+// Release hands the cache's way array to a later New. The cache must
+// not be used afterwards: Access, Contains and Flush panic.
+func (c *Cache) Release() {
+	if c.buf == nil {
+		return
+	}
+	wordPools[bits.Len(uint(len(c.words)))].Put(c.buf)
+	c.words, c.buf = nil, nil
 }
 
 // Config returns the cache's configuration.
@@ -211,6 +247,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // caller can account for their writebacks: set by set, each set MRU
 // first. Callers that feed them to another cache depend on the order.
 func (c *Cache) Flush() []uint64 {
+	if c.buf == nil {
+		panic(fmt.Sprintf("cache %s: flush after release", c.cfg.Name))
+	}
 	var dirtyLines []uint64
 	for i, wd := range c.words {
 		if wd&1 != 0 {

@@ -188,3 +188,57 @@ func TestStatsConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestReleasedCachePanics(t *testing.T) {
+	c := tiny()
+	c.Access(0x1000, true)
+	c.Release()
+	c.Release() // a second release must not hand the array out twice
+	for name, use := range map[string]func(){
+		"Access":   func() { c.Access(0x1000, false) },
+		"Contains": func() { c.Contains(0x1000) },
+		"Flush":    func() { c.Flush() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released cache did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestRecycledCacheStartsEmpty checks that a cache built after a
+// release holds no line, including when it reuses the released array.
+func TestRecycledCacheStartsEmpty(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		c := tiny()
+		c.Access(0x1000, true)
+		c.Release()
+		d := tiny()
+		if d.Contains(0x1000) || len(d.Flush()) != 0 {
+			t.Fatal("a new cache holds a line of the released one")
+		}
+	}
+}
+
+// TestRecycledWordsFitTheirCache releases way arrays into the pool
+// that caches of a nearby length draw from: a smaller one must not be
+// handed to a larger cache, and a larger one is cut to length.
+func TestRecycledWordsFitTheirCache(t *testing.T) {
+	small := Config{Name: "small", Bytes: 8 * 64, Ways: 2}  // 8 words
+	large := Config{Name: "large", Bytes: 12 * 64, Ways: 3} // 12 words
+	for _, order := range [][2]Config{{small, large}, {large, small}} {
+		New(order[0]).Release()
+		c := New(order[1])
+		if want := order[1].Bytes / 64; len(c.words) != want {
+			t.Fatalf("%s cache has %d way words, want %d", order[1].Name, len(c.words), want)
+		}
+		for line := uint64(0); line < 64; line++ {
+			c.Access(line*64, true)
+		}
+		c.Release()
+	}
+}

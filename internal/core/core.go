@@ -381,6 +381,10 @@ func Run(opts Options, spec RunSpec) (Result, error) {
 	}
 
 	var procs []*kernel.Process
+	var rts []*jvm.Runtime // managed runs' runtimes, released with the run
+	if !spec.Native {
+		rts = make([]*jvm.Runtime, spec.Instances)
+	}
 	starts := make([]float64, spec.Instances)
 	planStart := time.Now()
 	for i := 0; i < spec.Instances; i++ {
@@ -420,6 +424,7 @@ func Run(opts Options, spec RunSpec) (Result, error) {
 				if err != nil {
 					panic(err)
 				}
+				rts[i] = rt
 				if eng != nil {
 					rt.Safepoint = func() { eng.OnSafepoint(p, rt.PageMap) }
 				}
@@ -543,6 +548,15 @@ func Run(opts Options, spec RunSpec) (Result, error) {
 			return Result{}, err
 		}
 	}
+	// The Result is complete: hand the run's page tables, caches and
+	// runtimes to later runs in this process. Nothing reads them from
+	// here on. A failed or cancelled run returns before this point and
+	// leaves its buffers to the garbage collector.
+	for _, rt := range rts {
+		rt.Release()
+	}
+	k.Release()
+	m.Release()
 	if tel != nil {
 		runSp.SetAttr("emulatedSeconds", strconv.FormatFloat(res.Seconds, 'g', -1, 64))
 		runSp.SetAttr("pagesMigrated", strconv.FormatUint(res.PagesMigrated, 10))

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/jvm"
+	"repro/internal/kernel"
 	"repro/internal/workloads"
 	"repro/internal/workloads/graphchi"
 )
@@ -189,5 +191,61 @@ func TestL3SizeSensitivity(t *testing.T) {
 	big := reduction(4 << 20)
 	if small <= big {
 		t.Errorf("KG-N reduction with small L3 (%.1f%%) should exceed big L3 (%.1f%%)", small, big)
+	}
+}
+
+// spyApp runs the tiny profile and records the runtime it runs on.
+// With cancel set, it closes cancel instead and keeps allocating until
+// the kernel unwinds it at the next quantum boundary.
+type spyApp struct {
+	workloads.App
+	rt     *jvm.Runtime
+	cancel chan struct{}
+}
+
+func (a *spyApp) Run(env workloads.Env, ds workloads.Dataset, seed uint64) {
+	a.rt = env.(*workloads.ManagedEnv).R
+	if a.cancel == nil {
+		a.App.Run(env, ds, seed)
+		return
+	}
+	close(a.cancel)
+	for {
+		env.Alloc(64, 0)
+	}
+}
+
+// TestRunReleasesOnlyOnSuccess checks the run lifecycle: a run that
+// produced its Result has released its runtime, page table and caches,
+// and a cancelled run has released none of them.
+func TestRunReleasesOnlyOnSuccess(t *testing.T) {
+	panics := func(use func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		use()
+		return false
+	}
+	for _, cancel := range []bool{false, true} {
+		app := &spyApp{App: tinyFactory("tiny")}
+		opts := tinyOpts(Emulation)
+		opts.AppFactory = func(string) workloads.App { return app }
+		if cancel {
+			app.cancel = make(chan struct{})
+			opts.Cancel = app.cancel
+		}
+		_, err := Run(opts, RunSpec{AppName: "tiny", Collector: jvm.KGN})
+		if cancel != errors.Is(err, kernel.ErrCancelled) {
+			t.Fatalf("cancel %v: err = %v", cancel, err)
+		}
+		p := app.rt.Proc
+		released := map[string]bool{
+			"runtime":    app.rt.Table == nil,
+			"page table": panics(func() { p.AS.Lookup(0) }),
+			"L3":         panics(func() { p.Kernel().Machine().L3(0).Contains(0) }),
+		}
+		for what, r := range released {
+			if r == cancel {
+				t.Errorf("cancel %v: %s released = %v", cancel, what, r)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
@@ -505,4 +506,41 @@ func TestMinorGCReusesWorkLists(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReleaseEmptiesLists checks that Release hands on every list of
+// the runtime empty, and that the released runtime fails loudly.
+func TestReleaseEmptiesLists(t *testing.T) {
+	_, rt := runJVM(t, KGN, func(r *Runtime) {
+		// A mature container holding a nursery child: the run ends
+		// with roots, mature, nursery and remembered-set entries.
+		container := r.Alloc(64, 1)
+		r.AddRoot(container)
+		for i := 0; i < 2*1024; i++ {
+			r.Alloc(128, 0)
+		}
+		r.WriteRef(container, 0, r.Alloc(64, 0))
+	})
+	l := rt.lists
+	if len(l.roots) == 0 || len(l.matureObjs) == 0 || len(l.nurseryObjs) == 0 || len(l.remNursery) == 0 {
+		t.Fatalf("the run left %d roots, %d mature, %d nursery and %d remembered entries; want some of each",
+			len(l.roots), len(l.matureObjs), len(l.nurseryObjs), len(l.remNursery))
+	}
+	rt.Release()
+	rt.Release() // a second release must not hand the lists out twice
+	v := reflect.ValueOf(l).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if n := v.Field(i).Len(); n != 0 {
+			t.Errorf("released list %s holds %d entries", v.Type().Field(i).Name, n)
+		}
+	}
+	if rt.Table != nil {
+		t.Error("a released runtime still holds its object table")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddRoot on a released runtime did not panic")
+		}
+	}()
+	rt.AddRoot(objmodel.Nil)
 }

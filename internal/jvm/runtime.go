@@ -2,6 +2,7 @@ package jvm
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/kernel"
@@ -66,23 +67,9 @@ type Runtime struct {
 	largeDRAM  *heap.ChunkedSpace
 	largePCM   *heap.ChunkedSpace
 
-	roots     []objmodel.ObjID
-	freeSlots []int
-
-	nurseryObjs  []objmodel.ObjID
-	observerObjs []objmodel.ObjID
-	matureObjs   []objmodel.ObjID // mature + large, both sockets
-
-	remNursery  []remEntry
-	remObserver []remEntry
-	remCursor   uint64
-
-	// Collection work lists: each collection appends into the arrays
-	// the previous one stored back, so a steady-state collection
-	// allocates none.
-	gcStack, gcReached    []objmodel.ObjID
-	gcNursery, gcObserver []objmodel.ObjID
-	gcPromoted            []objmodel.ObjID
+	// The growable lists; nil once the runtime is released.
+	*lists
+	remCursor uint64
 
 	epoch     uint32
 	iteration int // 1 = warmup (JIT active), 2 = measured
@@ -95,6 +82,57 @@ type Runtime struct {
 	// 2x live), so workloads whose live set grows (large datasets)
 	// keep the paper's 2x-minimum sizing instead of thrashing.
 	dynBudget uint64
+}
+
+// lists are a runtime's growable object lists. Release hands them,
+// emptied, to a later runtime, so that its lists grow into the
+// capacity an earlier run already paid for.
+type lists struct {
+	roots     []objmodel.ObjID
+	freeSlots []int
+
+	nurseryObjs  []objmodel.ObjID
+	observerObjs []objmodel.ObjID
+	matureObjs   []objmodel.ObjID // mature + large, both sockets
+
+	remNursery  []remEntry
+	remObserver []remEntry
+
+	// Collection work lists: each collection appends into the arrays
+	// the previous one stored back, so a steady-state collection
+	// allocates none.
+	gcStack, gcReached    []objmodel.ObjID
+	gcNursery, gcObserver []objmodel.ObjID
+	gcPromoted            []objmodel.ObjID
+}
+
+// listPool holds released runtimes' lists for later runtimes.
+var listPool sync.Pool
+
+// newLists returns empty lists, recycled when a released set is pooled.
+func newLists() *lists {
+	if l, _ := listPool.Get().(*lists); l != nil {
+		return l
+	}
+	return new(lists)
+}
+
+// Release hands the runtime's object table and lists to later runtimes.
+// Call it once the runtime's process has finished and its statistics
+// have been read: a released runtime panics on any use.
+func (r *Runtime) Release() {
+	if r.lists == nil {
+		return
+	}
+	l := r.lists
+	l.roots, l.freeSlots = l.roots[:0], l.freeSlots[:0]
+	l.nurseryObjs, l.observerObjs, l.matureObjs = l.nurseryObjs[:0], l.observerObjs[:0], l.matureObjs[:0]
+	l.remNursery, l.remObserver = l.remNursery[:0], l.remObserver[:0]
+	l.gcStack, l.gcReached = l.gcStack[:0], l.gcReached[:0]
+	l.gcNursery, l.gcObserver, l.gcPromoted = l.gcNursery[:0], l.gcObserver[:0], l.gcPromoted[:0]
+	listPool.Put(l)
+	r.Table.Release()
+	r.lists, r.Table = nil, nil
 }
 
 // NewRuntime boots a VM: lays out the heap, maps and binds every
@@ -113,6 +151,7 @@ func NewRuntime(proc *kernel.Process, plan Plan) (*Runtime, error) {
 		Plan:      plan,
 		Layout:    layout,
 		Table:     objmodel.NewTable(),
+		lists:     newLists(),
 		iteration: 1,
 	}
 	mem := proc.AS

@@ -27,6 +27,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -163,13 +164,20 @@ type vma struct {
 	node       int    // NodeFirstTouch or an explicit node
 }
 
+// pageTable maps VPN -> PFN+1 (0 = not present): a flat 4 MB array,
+// as the 32-bit space has 2^20 pages. kernel.New checks that every
+// frame number fits.
+type pageTable [VASize / PageSize]uint32
+
+// pageTables holds the page tables of released kernels (see Release)
+// for the address spaces of later runs.
+var pageTables sync.Pool
+
 // AddressSpace is a process's page table plus mapping metadata.
 type AddressSpace struct {
 	k *Kernel
-	// pages maps VPN -> PFN+1 (0 = not present): a flat 4 MB array,
-	// as the 32-bit space has 2^20 pages. kernel.New checks that every
-	// frame number fits.
-	pages []uint32
+	// pages is nil once the kernel is released.
+	pages *pageTable
 	vmas  []vma
 	// Resident counts present pages, for peak-memory accounting.
 	Resident     uint64
@@ -177,7 +185,26 @@ type AddressSpace struct {
 }
 
 func newAddressSpace(k *Kernel) *AddressSpace {
-	return &AddressSpace{k: k, pages: make([]uint32, VASize/PageSize)}
+	pt, _ := pageTables.Get().(*pageTable)
+	if pt == nil {
+		pt = new(pageTable)
+	} else {
+		clear(pt[:])
+	}
+	return &AddressSpace{k: k, pages: pt}
+}
+
+// Release hands the page tables of the kernel's processes to later
+// address spaces. Call it once the processes have finished and nothing
+// will read their address spaces again: a released address space
+// panics on any use.
+func (k *Kernel) Release() {
+	for _, p := range k.procs {
+		if p.AS.pages != nil {
+			pageTables.Put(p.AS.pages)
+			p.AS.pages = nil
+		}
+	}
 }
 
 // pte returns the page-table entry mapping a page to the frame at pa.

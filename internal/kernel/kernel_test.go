@@ -513,3 +513,55 @@ func TestNewPanicsWhenFramesOverflowPTE(t *testing.T) {
 		}()
 	}
 }
+
+// touchedKernel runs one process that maps and touches a page at
+// 0x10000000, and returns its finished kernel and process.
+func touchedKernel(t *testing.T) (*Kernel, *Process) {
+	t.Helper()
+	k := New(testMachine(), simOS())
+	p := k.NewProcess("t", 0, func(p *Process) {
+		if err := p.AS.MMap(0x10000000, 1<<20, 0); err != nil {
+			panic(err)
+		}
+		p.Access(0x10000000, 64, true)
+	})
+	if err := k.RunSolo(p, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.AS.Lookup(0x10000000); !ok {
+		t.Fatal("touched page is not resident")
+	}
+	return k, p
+}
+
+func TestReleasedAddressSpacePanics(t *testing.T) {
+	k, p := touchedKernel(t)
+	k.Release()
+	k.Release() // a second release must not hand the page table out twice
+	defer func() {
+		if recover() == nil {
+			t.Error("Lookup on a released address space did not panic")
+		}
+	}()
+	p.AS.Lookup(0x10000000)
+}
+
+// TestRecycledPageTableStartsEmpty checks that an address space built
+// after a release maps nothing, including when it reuses the released
+// page table.
+func TestRecycledPageTableStartsEmpty(t *testing.T) {
+	reused := false
+	for i := 0; i < 4; i++ {
+		k, p := touchedKernel(t)
+		released := p.AS.pages
+		k.Release()
+		as := newAddressSpace(New(testMachine(), simOS()))
+		reused = reused || as.pages == released
+		if _, ok := as.Lookup(0x10000000); ok {
+			t.Fatal("a new address space sees a page of the released one")
+		}
+	}
+	if !reused {
+		t.Log("no released page table was reused")
+	}
+}

@@ -151,6 +151,19 @@ func New(cfg Config) *Machine {
 	return m
 }
 
+// Release hands every cache's way array to later machines (see
+// cache.Cache.Release). The machine must not run accesses afterwards.
+func (m *Machine) Release() {
+	for s := range m.sockets {
+		sk := &m.sockets[s]
+		sk.l3.Release()
+		for _, co := range sk.cores {
+			co.l1.Release()
+			co.l2.Release()
+		}
+	}
+}
+
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

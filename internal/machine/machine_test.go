@@ -240,3 +240,16 @@ func TestNoWriteLostProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestReleasedMachinePanics(t *testing.T) {
+	m := New(testConfig())
+	th := m.NewThread("t", 0, 0)
+	th.Access(0x1000, 8, true)
+	m.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("an access on a released machine did not panic")
+		}
+	}()
+	th.Access(0x1000, 8, true)
+}

@@ -128,11 +128,19 @@ func (d *Device) Write(offset uint64, n uint64) {
 }
 
 // bumpWindow increments a sparse per-page window counter, allocating
-// its chunk on first touch.
+// its chunk on first touch. The chunk directory grows to the chunk with
+// at most one allocation, at least doubling its capacity: the kernel's
+// noise writes land near the top of a node, so the first of them needs
+// almost the whole directory.
 func bumpWindow(win *[][]uint32, page uint64) {
 	chunk := int(page / winChunkPages)
-	for chunk >= len(*win) {
-		*win = append(*win, nil)
+	if chunk >= len(*win) {
+		if chunk >= cap(*win) {
+			grown := make([][]uint32, len(*win), max(chunk+1, 2*cap(*win)))
+			copy(grown, *win)
+			*win = grown
+		}
+		*win = (*win)[:chunk+1]
 	}
 	if (*win)[chunk] == nil {
 		(*win)[chunk] = make([]uint32, winChunkPages)

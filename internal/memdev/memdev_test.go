@@ -175,3 +175,28 @@ func TestTakeWindowIsDestructivePerPage(t *testing.T) {
 		t.Error("ClearWindowPage left the counter")
 	}
 }
+
+// TestTrackingDirectoryGrowsOnce checks that the first write near the
+// top of a large tracked device, where the kernel's noise lands,
+// allocates the chunk directory in one step: one directory and one
+// chunk per tracker.
+func TestTrackingDirectoryGrowsOnce(t *testing.T) {
+	const bytes = 66 << 30
+	off := uint64(bytes - 16<<20)
+	devs := make([]*Device, 101)
+	for i := range devs {
+		devs[i] = New(Config{Kind: DRAM, Bytes: bytes, TrackWear: true, TrackWindow: true})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(devs)-1, func() {
+		devs[next].Write(off, 24)
+		next++
+	})
+	if allocs != 4 {
+		t.Errorf("first write allocated %v times, want 4 (a directory and a chunk per tracker)", allocs)
+	}
+	d := devs[0]
+	if d.WindowWrites(off) != 24 || d.PageWear(off) != 24 || d.WriteLines() != 24 {
+		t.Errorf("window %d, wear %d, lines %d; want 24 each", d.WindowWrites(off), d.PageWear(off), d.WriteLines())
+	}
+}

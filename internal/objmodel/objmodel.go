@@ -19,6 +19,7 @@ package objmodel
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // HeaderBytes is the object header size: a status word and a type
@@ -156,12 +157,32 @@ type Table struct {
 	extFree map[int][]uint32 // freed arena runs by length, LIFO
 }
 
-// NewTable returns an empty table with its first chunk allocated.
+// tables holds released tables (see Release) for later NewTable calls.
+var tables sync.Pool
+
+// NewTable returns an empty table: a released one with its chunks and
+// list capacity kept when one is pooled, else one with its first chunk
+// allocated.
 func NewTable() *Table {
+	if t, _ := tables.Get().(*Table); t != nil {
+		return t
+	}
 	return &Table{
 		chunks:  []*[chunkLen]Object{new([chunkLen]Object)},
 		extFree: make(map[int][]uint32),
 	}
+}
+
+// Release empties the table and hands it, chunks included, to a later
+// NewTable. The chunks are not cleared: Alloc overwrites a whole
+// record before handing out its ID. The caller must drop the table;
+// until a NewTable takes it back, Get panics on every ID.
+func (t *Table) Release() {
+	t.n, t.live = 0, 0
+	t.free = t.free[:0]
+	t.ext = t.ext[:0]
+	clear(t.extFree)
+	tables.Put(t)
 }
 
 // Alloc creates a record and returns its ID. The record starts with

@@ -310,3 +310,47 @@ func BenchmarkTableGet(b *testing.B) {
 	}
 	sinkAddr = sum
 }
+
+func TestReleasedTablePanics(t *testing.T) {
+	tb := NewTable()
+	id := tb.Alloc(0x1000, 16, SpaceNursery, 0)
+	tb.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Get on a released table did not panic")
+		}
+	}()
+	tb.Get(id)
+}
+
+// TestRecycledTableStartsEmpty checks that a table built after a
+// release behaves as a fresh one: IDs start at 1 and the overflow
+// arena is empty, including when it reuses the released table.
+func TestRecycledTableStartsEmpty(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		tb := NewTable()
+		a := tb.Alloc(0x1000, 64, SpaceNursery, 6)
+		tb.Alloc(0x2000, 64, SpaceNursery, 6)
+		tb.SetRef(tb.Get(a), 5, a)
+		tb.Free(a) // leaves a free slot and a free overflow run
+		tb.Release()
+
+		nt := NewTable()
+		if nt.Live() != 0 || nt.ArenaLen() != 0 {
+			t.Fatalf("new table: %d live, arena %d, want 0 and 0", nt.Live(), nt.ArenaLen())
+		}
+		id := nt.Alloc(0x3000, 64, SpaceNursery, 6)
+		if id != 1 {
+			t.Fatalf("first ID of a new table = %d, want 1", id)
+		}
+		o := nt.Get(id)
+		for s := 0; s < o.NumRefs(); s++ {
+			if ref := nt.Ref(o, s); ref != Nil {
+				t.Fatalf("slot %d of a new object holds %d", s, ref)
+			}
+		}
+		if lo, hi := nt.OverflowRun(o); lo != 0 || hi != 2 {
+			t.Fatalf("overflow run [%d,%d), want [0,2)", lo, hi)
+		}
+	}
+}

@@ -2,13 +2,17 @@
 // engine and the three applications the paper evaluates: PageRank
 // (PR), Connected Components (CC), and ALS matrix factorization (ALS).
 //
-// Unlike the DaCapo/Pjbb profiles, these are real algorithm
-// implementations: the engine shards a synthetic RMAT graph (the
-// LiveJournal stand-in; a ratings matrix stands in for the Netflix
-// training set), streams one shard buffer at a time (allocate, load,
-// process, release — the short-lived large objects at the heart of the
-// paper's LOO analysis), and maintains per-vertex state in segmented
-// large arrays. The Java-version behaviours the paper measures are
+// Unlike the DaCapo/Pjbb profiles, these run the engine's real data
+// flow over a real graph: the engine shards a synthetic RMAT graph
+// (the LiveJournal stand-in; a ratings matrix stands in for the
+// Netflix training set), streams one shard buffer at a time (allocate,
+// load, process, release — the short-lived large objects at the heart
+// of the paper's LOO analysis), and maintains per-vertex state in
+// segmented large arrays. PR and ALS are traffic patterns: each edge
+// reads its source's vertex state and writes its destination's, and
+// the values they would compute steer nothing. Only CC computes its
+// labels, because a converged label is not rewritten, so CC's write
+// traffic falls as it converges. The Java-version behaviours the paper measures are
 // modelled faithfully: allocation is zero-initialized by the managed
 // runtime, per-edge processing allocates boxing temporaries (tuned so
 // Java allocates 1.34x/1.6x/2x the C++ volume for PR/CC/ALS), and the
@@ -77,16 +81,15 @@ const (
 
 type edge struct{ src, dst uint32 }
 
-// graph is the Go-side dataset: sharded edges plus degrees. The
-// charged memory traffic flows through the Env; this struct is the
-// algorithm's view of the input, standing in for the on-disk shards.
+// graph is the Go-side dataset: sharded edges. The charged memory
+// traffic flows through the Env; this struct is the algorithm's view
+// of the input, standing in for the on-disk shards.
 type graph struct {
 	srcVerts int // source id space (users for ALS)
 	dstVerts int // destination id space (items for ALS)
 	edges    int
 	shards   [][]edge // grouped by destination range
 	bySrc    [][]edge // grouped by source range (ALS second sweep)
-	outDeg   []uint32
 	numShard int
 }
 
@@ -105,60 +108,82 @@ func vertsFor(edges int) int {
 	return v
 }
 
+// rmatLow is the RMAT recursion's per-bit bias, 0.72, as a bound on
+// the 53-bit draw behind workloads.RNG.Float: Float() < 0.72 exactly
+// when Next()>>11 < rmatLow. Float is (Next()>>11)·2^-53 exactly, and
+// float64(0.72)·2^53 is an integer, so the two tests agree on every
+// draw. It is computed from the float64, not from the exact decimal
+// 0.72·2^53, which is not an integer.
+var rmatLow = uint64(float64(0.72) * (1 << 53))
+
 // buildGraph deterministically generates an RMAT-skewed edge list over
 // a (srcVerts x dstVerts) id grid and shards it by destination (and,
-// when wantSrc is set, by source for ALS's user sweep).
+// when wantSrc is set, by source for ALS's user sweep). Each shard
+// lists its edges in generation order.
 func buildGraph(edges int, seed uint64, wantSrc bool, srcVerts, dstVerts int) *graph {
 	g := &graph{srcVerts: srcVerts, dstVerts: dstVerts, edges: edges}
 	g.numShard = (edges*8 + shardTargetBytes - 1) / shardTargetBytes
 	if g.numShard < 4 {
 		g.numShard = 4
 	}
-	g.shards = make([][]edge, g.numShard)
-	g.bySrc = make([][]edge, g.numShard)
-	g.outDeg = make([]uint32, srcVerts)
 
 	rng := workloads.NewRNG(seed)
 	rmat := func(verts int) uint32 {
 		// Power-of-two grid for the RMAT recursion. The 0.72 per-bit
 		// bias yields the heavy-tailed degree distribution of social
-		// graphs like LiveJournal.
-		dim := 1
-		for dim < verts {
+		// graphs like LiveJournal. A bit is set when its draw is not
+		// below rmatLow; the sign of the difference decides it without
+		// a branch the host would mispredict.
+		dim := uint64(1)
+		for dim < uint64(verts) {
 			dim <<= 1
 		}
-		v := 0
+		v := uint64(0)
 		for bit := dim >> 1; bit > 0; bit >>= 1 {
-			if rng.Float() < 0.72 {
-				continue
-			}
-			v |= bit
+			low := (rng.Next()>>11 - rmatLow) >> 63
+			v |= bit * (1 ^ low)
 		}
-		return uint32(v % verts)
+		return uint32(v % uint64(verts))
 	}
-	shardOf := func(v uint32) int {
-		s := int(uint64(v) * uint64(g.numShard) / uint64(g.dstVerts))
-		if s >= g.numShard {
-			s = g.numShard - 1
-		}
-		return s
+	all := make([]edge, edges)
+	for i := range all {
+		all[i] = edge{src: rmat(srcVerts), dst: rmat(dstVerts)}
 	}
-	srcShardOf := func(v uint32) int {
-		s := int(uint64(v) * uint64(g.numShard) / uint64(g.srcVerts))
-		if s >= g.numShard {
-			s = g.numShard - 1
-		}
-		return s
-	}
-	for i := 0; i < edges; i++ {
-		e := edge{src: rmat(srcVerts), dst: rmat(dstVerts)}
-		g.shards[shardOf(e.dst)] = append(g.shards[shardOf(e.dst)], e)
-		if wantSrc {
-			g.bySrc[srcShardOf(e.src)] = append(g.bySrc[srcShardOf(e.src)], e)
-		}
-		g.outDeg[e.src]++
+	g.shards = shardBy(all, g.numShard, dstVerts, func(e edge) uint32 { return e.dst })
+	if wantSrc {
+		g.bySrc = shardBy(all, g.numShard, srcVerts, func(e edge) uint32 { return e.src })
 	}
 	return g
+}
+
+// shardBy groups edges into n shards by the vertex key picks, over
+// equal ranges of a verts-id space, keeping each shard in edge order.
+// It counts the shards first and then fills them, so every shard is a
+// window of one exactly sized array.
+func shardBy(edges []edge, n, verts int, key func(edge) uint32) [][]edge {
+	shardOf := func(e edge) int {
+		s := int(uint64(key(e)) * uint64(n) / uint64(verts))
+		if s >= n {
+			s = n - 1
+		}
+		return s
+	}
+	counts := make([]int, n)
+	for _, e := range edges {
+		counts[shardOf(e)]++
+	}
+	backing := make([]edge, len(edges))
+	shards := make([][]edge, n)
+	off := 0
+	for s, c := range counts {
+		shards[s] = backing[off : off : off+c]
+		off += c
+	}
+	for _, e := range edges {
+		s := shardOf(e)
+		shards[s] = append(shards[s], e)
+	}
+	return shards
 }
 
 // pageCache models the OS file cache backing the on-disk shards: a
@@ -231,6 +256,29 @@ func (pc *pageCache) release(env workloads.Env) {
 	}
 }
 
+// graphFor builds a kind's input of the given size: a Netflix-shaped
+// user x item rating matrix for ALS, a LiveJournal-shaped graph for PR
+// and CC. The graph is seeded by the kind alone.
+func graphFor(kind Kind, edges int) *graph {
+	seed := 0xC0FFEE + uint64(kind)*7
+	if kind == ALS {
+		users := edges / 2
+		if users > nfUserSpace {
+			users = nfUserSpace
+		}
+		if users < 1024 {
+			users = 1024
+		}
+		items := users / nfItemRatio
+		if items < 1024 {
+			items = 1024
+		}
+		return buildGraph(edges, seed, true, users, items)
+	}
+	v := vertsFor(edges)
+	return buildGraph(edges, seed, false, v, v)
+}
+
 // App is one GraphChi application instance.
 type App struct {
 	kind Kind
@@ -242,12 +290,14 @@ type App struct {
 
 	g      *graph
 	ds     workloads.Dataset
-	ranks  []float64
-	accum  []float64
 	labels []uint32
 	// edgeFileBytes is the size of the edge-data region of the page
 	// cache; the vertex-data file follows it.
 	edgeFileBytes int
+	// vertexRefs and vertexSlots hold an interval's vertex-state
+	// objects and their root slots, reused across intervals.
+	vertexRefs  []workloads.Ref
+	vertexSlots []int
 	// per-edge boxing cadence, tuned per app so the managed version
 	// allocates the paper's 1.34x/1.6x/2x of the C++ volume.
 	tempEvery int
@@ -337,24 +387,7 @@ func (a *App) edgeCount(ds workloads.Dataset) int {
 // sharded graph.
 func (a *App) Run(env workloads.Env, ds workloads.Dataset, seed uint64) {
 	if a.g == nil || a.ds != ds {
-		edges := a.edgeCount(ds)
-		if a.kind == ALS {
-			users := edges / 2
-			if users > nfUserSpace {
-				users = nfUserSpace
-			}
-			if users < 1024 {
-				users = 1024
-			}
-			items := users / nfItemRatio
-			if items < 1024 {
-				items = 1024
-			}
-			a.g = buildGraph(edges, 0xC0FFEE+uint64(a.kind)*7, true, users, items)
-		} else {
-			v := vertsFor(edges)
-			a.g = buildGraph(edges, 0xC0FFEE+uint64(a.kind)*7, false, v, v)
-		}
+		a.g = graphFor(a.kind, a.edgeCount(ds))
 		a.ds = ds
 	}
 	// The page cache backing the shard files (edge data followed by
@@ -416,35 +449,34 @@ func (a *App) interval(env workloads.Env, pc *pageCache, shard []edge, shardIdx,
 	buf := env.Alloc(bufBytes, 0)
 	bufSlot := env.AddRoot(buf)
 
-	// Vertex state for the interval.
+	// Vertex state for the interval: group objects of groupVerts
+	// vertices (Java) or segments of a flat block (C++). The slices
+	// that hold them are reused across intervals; a sub-interval above
+	// has released its own before this one fills them.
 	const groupVerts = 16 // vertices per ChiVertex group object
-	var groups []workloads.Ref
-	var groupSlots []int
-	var blocks []workloads.Ref
-	var blockSlots []int
 	const segB = 2 << 20
 	blockBytes := vertsInBlock * vertexElemB
+	refs, slots := a.vertexRefs[:0], a.vertexSlots[:0]
 	if env.Managed() {
 		n := (vertsInBlock + groupVerts - 1) / groupVerts
-		groups = make([]workloads.Ref, n)
-		groupSlots = make([]int, n)
-		for i := range groups {
-			groups[i] = env.Alloc(groupVerts*vertexElemB+16, 1)
-			groupSlots[i] = env.AddRoot(groups[i])
+		for i := 0; i < n; i++ {
+			ref := env.Alloc(groupVerts*vertexElemB+16, 1)
+			refs = append(refs, ref)
+			slots = append(slots, env.AddRoot(ref))
 		}
 	} else {
 		nseg := (blockBytes + segB - 1) / segB
-		blocks = make([]workloads.Ref, nseg)
-		blockSlots = make([]int, nseg)
 		for i := 0; i < nseg; i++ {
 			n := segB
 			if rem := blockBytes - i*segB; rem < n {
 				n = rem
 			}
-			blocks[i] = env.Alloc(n+16, 0)
-			blockSlots[i] = env.AddRoot(blocks[i])
+			ref := env.Alloc(n+16, 0)
+			refs = append(refs, ref)
+			slots = append(slots, env.AddRoot(ref))
 		}
 	}
+	a.vertexRefs, a.vertexSlots = refs, slots
 
 	// Load the shard: stream the file region through the page cache
 	// into the edge buffer.
@@ -460,7 +492,7 @@ func (a *App) interval(env workloads.Env, pc *pageCache, shard []edge, shardIdx,
 	touch := func(v int, write bool) {
 		vv := v % vertsInBlock
 		if env.Managed() {
-			g := groups[vv/groupVerts]
+			g := refs[vv/groupVerts]
 			off := 16 + (vv%groupVerts)*vertexElemB
 			if write {
 				env.Write(g, off, vertexElemB)
@@ -470,7 +502,7 @@ func (a *App) interval(env workloads.Env, pc *pageCache, shard []edge, shardIdx,
 			return
 		}
 		off := vv * vertexElemB
-		ref := blocks[off/segB]
+		ref := refs[off/segB]
 		if write {
 			env.Write(ref, 16+off%segB, vertexElemB)
 		} else {
@@ -498,53 +530,31 @@ func (a *App) interval(env workloads.Env, pc *pageCache, shard []edge, shardIdx,
 	if !env.Managed() {
 		env.Free(buf)
 	}
-	for i := range groups {
-		env.SetRoot(groupSlots[i], workloads.NilRef)
-		env.DropRoot(groupSlots[i])
-	}
-	for i := range blocks {
-		env.SetRoot(blockSlots[i], workloads.NilRef)
-		env.DropRoot(blockSlots[i])
-		env.Free(blocks[i])
+	for i, ref := range refs {
+		env.SetRoot(slots[i], workloads.NilRef)
+		env.DropRoot(slots[i])
+		if !env.Managed() {
+			env.Free(ref)
+		}
 	}
 }
 
-// runPageRank runs the classic power iteration with dangling-mass
-// redistribution (edge samples leave most vertices without
-// out-edges). Rank state between iterations is disk-resident (held
-// Go-side); each interval materializes its vertex block in memory.
+// runPageRank streams PageRank's traffic over the graph: per edge, a
+// read of the source's rank in the interval's vertex block and an
+// accumulating write of the destination's, then the per-vertex update
+// of each iteration as compute. Rank state between iterations is
+// disk-resident; each interval materializes its vertex block in
+// memory.
 func (a *App) runPageRank(env workloads.Env, pc *pageCache) {
 	g := a.g
 	n := g.dstVerts
-	a.ranks = make([]float64, n)
-	a.accum = make([]float64, n)
-	for v := range a.ranks {
-		a.ranks[v] = 1 / float64(n)
-	}
 	blockVerts := (n + g.numShard - 1) / g.numShard
 	for iter := 0; iter < a.iters; iter++ {
-		for i := range a.accum {
-			a.accum[i] = 0
-		}
-		dangling := 0.0
-		for v := range a.ranks {
-			if v >= len(g.outDeg) || g.outDeg[v] == 0 {
-				dangling += a.ranks[v]
-			}
-		}
 		for si, shard := range g.shards {
 			a.interval(env, pc, shard, si, blockVerts, 16, func(_ int, e edge, touch func(int, bool)) {
 				touch(int(e.src), false) // source rank (cached block read)
-				deg := g.outDeg[e.src]
-				if deg == 0 {
-					deg = 1
-				}
-				a.accum[e.dst] += a.ranks[e.src] / float64(deg)
-				touch(int(e.dst), true) // accumulate into the block
+				touch(int(e.dst), true)  // accumulate into the block
 			})
-		}
-		for v := 0; v < n; v++ {
-			a.ranks[v] = 0.15/float64(n) + 0.85*(a.accum[v]+dangling/float64(n))
 		}
 		env.Compute(4 * n)
 	}

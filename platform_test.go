@@ -278,23 +278,8 @@ func checkManifest(t *testing.T, path string, digests []cellDigest) {
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	pinned := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		sum, cell, ok := strings.Cut(sc.Text(), "  ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", path, sc.Text())
-		}
-		pinned[cell] = sum
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	readManifest(t, path, pinned)
 	for _, d := range digests {
 		switch want, ok := pinned[d.cell]; {
 		case !ok:
@@ -305,6 +290,27 @@ func checkManifest(t *testing.T, path string, digests []cellDigest) {
 	}
 	if !raceEnabled && len(pinned) != len(digests) {
 		t.Errorf("%s pins %d cells, the grid ran %d", path, len(pinned), len(digests))
+	}
+}
+
+// readManifest adds the cell digests of the manifest at path to pinned.
+func readManifest(t *testing.T, path string, pinned map[string]string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		sum, cell, ok := strings.Cut(sc.Text(), "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
+		}
+		pinned[cell] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
