@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -241,4 +242,30 @@ func TestRecycledWordsFitTheirCache(t *testing.T) {
 		}
 		c.Release()
 	}
+}
+
+// TestConcurrentRecycling builds, fills and releases caches of two
+// lengths from several goroutines at once, as RunBatch workers do: no
+// cache may start with another's lines. Run it under -race.
+func TestConcurrentRecycling(t *testing.T) {
+	cfgs := []Config{{Name: "a", Bytes: 8 * 64, Ways: 2}, {Name: "b", Bytes: 12 * 64, Ways: 3}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := New(cfgs[(g+i)%2])
+				if n := len(c.Flush()); n != 0 {
+					t.Errorf("a new cache holds %d dirty lines", n)
+					return
+				}
+				for line := uint64(0); line < 16; line++ {
+					c.Access(line*64, true)
+				}
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,7 +16,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 	for _, kind := range []Kind{PR, ALS} {
 		b.Run(fmt.Sprint(kind), func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				graphFor(kind, quickEdges)
 			}
 		})

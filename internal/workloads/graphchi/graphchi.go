@@ -12,11 +12,12 @@
 // reads its source's vertex state and writes its destination's, and
 // the values they would compute steer nothing. Only CC computes its
 // labels, because a converged label is not rewritten, so CC's write
-// traffic falls as it converges. The Java-version behaviours the paper measures are
-// modelled faithfully: allocation is zero-initialized by the managed
-// runtime, per-edge processing allocates boxing temporaries (tuned so
-// Java allocates 1.34x/1.6x/2x the C++ volume for PR/CC/ALS), and the
-// C++ version frees its buffers manually and never zeroes.
+// traffic falls as it converges. The Java-version behaviours the paper
+// measures are modelled faithfully: allocation is zero-initialized by
+// the managed runtime, per-edge processing allocates boxing
+// temporaries (tuned so Java allocates 1.34x/1.6x/2x the C++ volume
+// for PR/CC/ALS), and the C++ version frees its buffers manually and
+// never zeroes.
 //
 // The paper's defaults: 1 M edges (PR, CC) and 1 M ratings (ALS);
 // large datasets are 10 M. Nursery 32 MB (the paper found 4 MB hurts

@@ -206,27 +206,39 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 // entries of perfbench/oracle.json, which are recorded at seed 1.
 const graphChiManifest = "testdata/graphchi_quick.sha256"
 
-// graphChiCell is one pinned GraphChi experiment: a spec under a
-// placement policy on a quick platform.
-type graphChiCell struct {
-	name   string
-	spec   RunSpec
-	policy Policy
+// pinnedCell is one experiment of a Result manifest: a spec on a
+// fresh quick platform at seed 7, with extra options.
+type pinnedCell struct {
+	name string
+	opts []Option
+	spec RunSpec
+}
+
+// run executes the cell and digests its Result.
+func (c pinnedCell) run(t *testing.T) cellDigest {
+	t.Helper()
+	opts := append([]Option{WithScale(Quick), WithSeed(7)}, c.opts...)
+	res, err := New(opts...).Run(context.Background(), c.spec)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return digestCell(t, c.name, res)
 }
 
 // graphChiCells covers each vertex program under KG-N, PageRank under
 // KG-W and both migrating policies, and the C++ versions of PR and
 // ALS. The race detector runs two of them, one managed and one native.
-func graphChiCells() []graphChiCell {
-	cells := []graphChiCell{
-		{"PR/KG-N", RunSpec{AppName: "PR", Collector: KGN}, Static},
-		{"ALS/native", RunSpec{AppName: "ALS", Native: true}, Static},
-		{"CC/KG-N", RunSpec{AppName: "CC", Collector: KGN}, Static},
-		{"ALS/KG-N", RunSpec{AppName: "ALS", Collector: KGN}, Static},
-		{"PR/KG-W", RunSpec{AppName: "PR", Collector: KGW}, Static},
-		{"PR/native", RunSpec{AppName: "PR", Native: true}, Static},
-		{"PR/KG-N/write-threshold", RunSpec{AppName: "PR", Collector: KGN}, WriteThreshold},
-		{"PR/KG-N/wear-level", RunSpec{AppName: "PR", Collector: KGN}, WearLevel},
+func graphChiCells() []pinnedCell {
+	pr := RunSpec{AppName: "PR", Collector: KGN}
+	cells := []pinnedCell{
+		{"PR/KG-N", nil, pr},
+		{"ALS/native", nil, RunSpec{AppName: "ALS", Native: true}},
+		{"CC/KG-N", nil, RunSpec{AppName: "CC", Collector: KGN}},
+		{"ALS/KG-N", nil, RunSpec{AppName: "ALS", Collector: KGN}},
+		{"PR/KG-W", nil, RunSpec{AppName: "PR", Collector: KGW}},
+		{"PR/native", nil, RunSpec{AppName: "PR", Native: true}},
+		{"PR/KG-N/write-threshold", []Option{WithPolicy(WriteThreshold)}, pr},
+		{"PR/KG-N/wear-level", []Option{WithPolicy(WearLevel)}, pr},
 	}
 	if raceEnabled {
 		cells = cells[:2]
@@ -239,11 +251,7 @@ func graphChiCells() []graphChiCell {
 func TestGraphChiMatchesManifest(t *testing.T) {
 	var digests []cellDigest
 	for _, c := range graphChiCells() {
-		res, err := New(WithScale(Quick), WithSeed(7), WithPolicy(c.policy)).Run(context.Background(), c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		digests = append(digests, digestCell(t, c.name, res))
+		digests = append(digests, c.run(t))
 	}
 	checkManifest(t, graphChiManifest, digests)
 }

@@ -22,24 +22,6 @@ func pinnedDigests(t *testing.T) map[string]string {
 	return pinned
 }
 
-// recycleCell is one run of a recycling sequence: a manifest cell, or
-// an unpinned one checked against a run on fresh buffers.
-type recycleCell struct {
-	name string
-	opts []Option
-	spec RunSpec
-}
-
-func (c recycleCell) run(t *testing.T) cellDigest {
-	t.Helper()
-	opts := append([]Option{WithScale(Quick), WithSeed(7)}, c.opts...)
-	res, err := New(opts...).Run(context.Background(), c.spec)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	return digestCell(t, c.name, res)
-}
-
 // TestRecycledRunsMatchManifests runs, in one process, a sequence that
 // changes the shape of every recycled buffer from one run to the next,
 // then the same sequence reversed: PR's large object table, pmd x2's
@@ -52,7 +34,7 @@ func TestRecycledRunsMatchManifests(t *testing.T) {
 		t.Skip("the race build runs the reduced TestRecycledBatchMatchesManifests")
 	}
 	pinned := pinnedDigests(t)
-	cells := []recycleCell{
+	cells := []pinnedCell{
 		{"PR/KG-N", nil, RunSpec{AppName: "PR", Collector: KGN}},
 		{"pmd/KG-N/x2", nil, RunSpec{AppName: "pmd", Collector: KGN, Instances: 2}},
 		{"PR/native", nil, RunSpec{AppName: "PR", Native: true}},
@@ -65,7 +47,7 @@ func TestRecycledRunsMatchManifests(t *testing.T) {
 
 	reversed := slices.Clone(cells)
 	slices.Reverse(reversed)
-	for pass, seq := range [][]recycleCell{cells, reversed} {
+	for pass, seq := range [][]pinnedCell{cells, reversed} {
 		for _, c := range seq {
 			if got := c.run(t); got.sum != pinned[c.name] {
 				t.Errorf("pass %d, %s: Result digest %s, want %s", pass, c.name, got.sum, pinned[c.name])
@@ -130,7 +112,7 @@ func TestCancelledRunLeavesNextRunExact(t *testing.T) {
 	if w.writes < 2 {
 		t.Fatalf("the run wrote %d trace records; it was not cancelled mid-execute", w.writes)
 	}
-	got := recycleCell{"pmd/KG-N", nil, spec}.run(t)
+	got := pinnedCell{"pmd/KG-N", nil, spec}.run(t)
 	if got.sum != pinned["pmd/KG-N"] {
 		t.Errorf("run after a cancelled one: Result digest %s, want %s", got.sum, pinned["pmd/KG-N"])
 	}
