@@ -1,7 +1,7 @@
 package hybridmem_test
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation plus the ablation studies, one driver each in
+// paper's evaluation plus the ablation studies, each built by
 // internal/experiments (docs/architecture.md describes the stack they
 // run on). One benchmark iteration runs
 // the complete experiment at Quick scale; custom metrics report the

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (Tables I–III, Figures 3–8) plus ablation studies
-// of the platform's design choices (docs/architecture.md describes the
-// platform). Each driver expresses its grid of
+// paper's evaluation (Tables I–III, Figures 3–8) plus the ablation
+// studies of the platform's design (docs/architecture.md). Each one
+// expresses its grid of
 // platform runs against the public hybridmem.Platform engine: shared
 // configurations (e.g. the 1-instance PCM-Only runs of Figs 4, 5, and
 // 6) are served from the platform's result cache, and the wide grids
@@ -12,7 +12,7 @@
 // crossovers — not absolute counts: the substrate is a software model
 // of the platform, and the workloads are calibrated stand-ins (see
 // docs/architecture.md). The paper's values sit in comments beside the
-// drivers that reproduce them; no file records paper vs measured yet.
+// code that reproduces them; no file records paper vs measured yet.
 package experiments
 
 import (
