@@ -146,14 +146,8 @@ func (c *Cache) Release() {
 	c.words, c.buf = nil, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the cumulative statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// LineAddr converts a byte address to its 64-byte line address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
 // locate splits the line holding addr into its set and tag.
 func (c *Cache) locate(addr uint64) (set, tag uint64) {
@@ -259,6 +253,3 @@ func (c *Cache) Flush() []uint64 {
 	clear(c.words)
 	return dirtyLines
 }
-
-// ResetStats zeroes the statistics counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }

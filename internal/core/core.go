@@ -57,8 +57,10 @@ func (m Mode) String() string {
 // Options configure the platform.
 type Options struct {
 	Mode Mode
-	// Seed drives every workload RNG; equal seeds reproduce runs
-	// bit-for-bit.
+	// Seed is handed to every workload run; equal seeds reproduce runs
+	// bit-for-bit. The DaCapo and Pjbb stand-ins draw from it. The
+	// GraphChi stand-ins ignore it: their graphs are seeded by app
+	// kind, so their Results are equal at every seed.
 	Seed uint64
 	// L3Bytes overrides the 20 MB shared L3 (the paper's KG-N
 	// sensitivity analysis compares 4 MB vs 20 MB). 0 = default.
@@ -74,12 +76,8 @@ type Options struct {
 	// MonitorNode is where the write-rate monitor runs/writes (the
 	// paper uses socket 0; the ablation tries socket 1).
 	MonitorNode int
-	// QuantumCycles overrides the scheduling timeslice.
-	QuantumCycles float64
 	// UnmapFreedChunks enables the monolithic-free-list ablation.
 	UnmapFreedChunks bool
-	// TrackWear enables per-page wear histograms on the devices.
-	TrackWear bool
 	// Policy selects the dynamic-placement policy (zero value:
 	// static, the paper's plan-time tiering, engine disabled). It
 	// applies to managed runs; native runs have no GC safepoints for
@@ -254,7 +252,7 @@ func machineConfig(opts Options, native bool) machine.Config {
 	// counters are pure bookkeeping: enabling them does not perturb the
 	// model, so traced Results stay bit-identical to untraced ones.
 	tracing := opts.TraceSink != nil && !native
-	cfg.TrackWear = opts.TrackWear || (!native && pc.NeedsWear()) || tracing
+	cfg.TrackWear = (!native && pc.NeedsWear()) || tracing
 	cfg.TrackWindow = (!native && pc.NeedsWindow()) || tracing
 	cfg.TrackWindowReads = (!native && pc.NeedsReadWindow()) || tracing
 	return cfg
@@ -484,7 +482,6 @@ func Run(opts Options, spec RunSpec) (Result, error) {
 	tel.Emulating(opts.ObsParent)
 
 	rc := kernel.RunConfig{
-		QuantumCycles:  opts.QuantumCycles,
 		ThreadsPerProc: 4, // the paper: four application threads each
 		Cancel:         opts.Cancel,
 		OnQuantum:      mon.OnQuantum,

@@ -124,12 +124,6 @@ func (e *Estimator) Stats() Stats {
 	return Stats{Hits: e.hits.Load(), Misses: e.misses.Load(), Loads: e.loads.Load()}
 }
 
-// Has reports whether the library holds a trace for the spec key's
-// neighborhood (it may still miss on ErrNoBase).
-func (e *Estimator) Has(specKey string) bool {
-	return e != nil && e.lib.Has(specKey)
-}
-
 // Estimate answers specKey — a canonical spec key whose neighborhood
 // the library may cover — under the requested policy configuration.
 // On a hit the returned Result is the baseline with the replayed

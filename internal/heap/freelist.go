@@ -52,9 +52,6 @@ func NewFreeList(name string, base, limit uint64, node int, mem Memory) *FreeLis
 	return &FreeList{Name: name, base: base, limit: limit, node: node, mem: mem}
 }
 
-// Node returns the list's NUMA binding.
-func (fl *FreeList) Node() int { return fl.node }
-
 // Acquire hands a free chunk to the owner space, preferring recycled
 // chunks (already mapped, possibly on behalf of a different space) and
 // mapping a fresh chunk only when none is free.
@@ -115,23 +112,4 @@ func (fl *FreeList) Release(addr uint64) {
 		}
 	}
 	panic(fmt.Sprintf("heap: release of unknown chunk %#x on list %s", addr, fl.Name))
-}
-
-// MappedBytes reports how much of the range has been mapped.
-func (fl *FreeList) MappedBytes() uint64 { return fl.mapped }
-
-// InUseChunks reports the number of chunks currently owned by spaces.
-func (fl *FreeList) InUseChunks() int {
-	n := 0
-	for _, c := range fl.chunks {
-		if !c.Free {
-			n++
-		}
-	}
-	return n
-}
-
-// Chunks returns a copy of the chunk table for inspection.
-func (fl *FreeList) Chunks() []ChunkState {
-	return append([]ChunkState(nil), fl.chunks...)
 }

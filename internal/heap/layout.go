@@ -185,19 +185,6 @@ func (l *Layout) PCMPortion(addr uint64) bool {
 	return addr >= l.PCMStart && addr < l.PCMEnd
 }
 
-// SpaceFor maps a heap address to the portion's free list name, for
-// diagnostics.
-func (l *Layout) SpaceFor(addr uint64) string {
-	switch {
-	case l.PCMPortion(addr):
-		return "lo"
-	case addr >= l.PCMEnd && addr < l.DRAMEnd:
-		return "hi"
-	default:
-		return "outside"
-	}
-}
-
 // SocketBinding is the per-space NUMA placement of a plan: the paper's
 // Table I expressed as a map from space to socket.
 type SocketBinding map[objmodel.SpaceID]int

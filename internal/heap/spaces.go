@@ -33,15 +33,6 @@ func NewContiguousSpace(id objmodel.SpaceID, base, limit uint64, node int, mem M
 	return &ContiguousSpace{id: id, base: base, limit: limit, cursor: base}, nil
 }
 
-// ID returns the space identifier.
-func (s *ContiguousSpace) ID() objmodel.SpaceID { return s.id }
-
-// Base returns the lowest address of the space.
-func (s *ContiguousSpace) Base() uint64 { return s.base }
-
-// Limit returns the end (exclusive) of the space.
-func (s *ContiguousSpace) Limit() uint64 { return s.limit }
-
 // Capacity returns the total bytes of the space.
 func (s *ContiguousSpace) Capacity() uint64 { return s.limit - s.base }
 
@@ -101,12 +92,6 @@ func NewChunkedSpace(id objmodel.SpaceID, fl *FreeList, granule uint64) *Chunked
 	}
 	return &ChunkedSpace{id: id, fl: fl, granule: granule, byAddr: map[uint64]*chunkMeta{}}
 }
-
-// ID returns the space identifier.
-func (s *ChunkedSpace) ID() objmodel.SpaceID { return s.id }
-
-// Granule returns the allocation granularity.
-func (s *ChunkedSpace) Granule() uint64 { return s.granule }
 
 // Used returns the bytes held by used granules.
 func (s *ChunkedSpace) Used() uint64 { return s.used }

@@ -237,18 +237,3 @@ func (p *Plan) MutatorParallelism() float64 {
 	}
 	return par
 }
-
-// SpaceMapping renders the plan's Table I row: which sockets each
-// space occupies.
-func (p *Plan) SpaceMapping() map[objmodel.SpaceID][2]bool {
-	out := map[objmodel.SpaceID][2]bool{}
-	set := func(s objmodel.SpaceID, node int) {
-		v := out[s]
-		v[node] = true
-		out[s] = v
-	}
-	for s, n := range p.Bindings {
-		set(s, n)
-	}
-	return out
-}

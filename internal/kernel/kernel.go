@@ -152,9 +152,6 @@ func New(m *machine.Machine, cfg Config) *Kernel {
 // Machine returns the underlying machine.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
 
-// Config returns the OS configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // ZeroedPages reports how many pages the kernel has zeroed.
 func (k *Kernel) ZeroedPages() uint64 { return k.zeroedPages }
 

@@ -67,10 +67,6 @@ func (k *Kernel) NewProcess(name string, socketID int, body func(*Process)) *Pro
 	return p
 }
 
-// Err returns the process's terminal error, if any (segfault, OOM, or
-// a panic in the body).
-func (p *Process) Err() error { return p.err }
-
 // Kernel returns the owning kernel.
 func (p *Process) Kernel() *Kernel { return p.k }
 
@@ -186,11 +182,6 @@ func (p *Process) MovePages(start, length uint64, from, to int) (moved int, stal
 // time, as the paper's modified pcm-memory methodology does.
 func (p *Process) Barrier() {
 	p.state = procAtBarrier
-	p.yieldNow()
-}
-
-// Yield gives up the CPU voluntarily.
-func (p *Process) Yield() {
 	p.yieldNow()
 }
 

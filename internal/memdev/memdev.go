@@ -89,9 +89,6 @@ func New(cfg Config) *Device {
 // Kind reports the device's emulated technology.
 func (d *Device) Kind() Kind { return d.cfg.Kind }
 
-// Bytes reports the device capacity.
-func (d *Device) Bytes() uint64 { return d.cfg.Bytes }
-
 // Read records n line reads at the given device offset.
 func (d *Device) Read(offset uint64, n uint64) {
 	d.readLines += n

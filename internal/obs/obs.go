@@ -77,12 +77,3 @@ func (t *Telemetry) Quantum(parent SpanContext, quanta, actions, pagesMigrated u
 	}
 	t.Runs.RunQuantum(parent, quanta, actions, pagesMigrated)
 }
-
-// Log returns the bundle's logger, falling back to slog.Default. Safe
-// on a nil Telemetry.
-func (t *Telemetry) Log() *slog.Logger {
-	if t == nil || t.Logger == nil {
-		return slog.Default()
-	}
-	return t.Logger
-}

@@ -317,12 +317,6 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 // newID returns 2n lowercase hex digits of cryptographic randomness.
 func newID(n int) string {
 	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		// crypto/rand never fails on supported platforms; if it
-		// somehow does, a constant non-zero id keeps spans flowing.
-		for i := range b {
-			b[i] = 0xab
-		}
-	}
+	rand.Read(b) // never fails: it crashes the program instead
 	return hex.EncodeToString(b)
 }

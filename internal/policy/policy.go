@@ -593,9 +593,6 @@ func NewObserver(cfg Config) (*Engine, error) {
 // zeros, exactly as a policy would see live.
 func (e *Engine) SetTap(t Tap) { e.tap = t }
 
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Stats returns the accumulated migration statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -110,21 +110,6 @@ func answerSource(outcome string) string {
 	return "exact"
 }
 
-// ingestTrace files a freshly recorded trace in the library together
-// with its measured baseline Result, so the neighborhood becomes
-// estimable, not just replayable. Ingest failures are the operator's
-// problem (a full disk), never the requester's.
-func (s *Server) ingestTrace(app, key string, spec hybridmem.RunSpec, res hybridmem.Result, data []byte) {
-	base, err := estimate.EncodeBase(key, spec, res)
-	if err != nil {
-		s.log.Error("trace baseline encoding failed", "app", app, "err", err)
-		base = nil
-	}
-	if _, err := s.lib.PutWithBase(data, base); err != nil {
-		s.log.Error("trace library ingest failed", "app", app, "err", err)
-	}
-}
-
 // validateRingSize bounds how many recently estimated specs the drift
 // validator keeps eligible for re-validation.
 const validateRingSize = 64
@@ -253,7 +238,7 @@ func (v *driftValidator) validateOnce(ctx context.Context) error {
 	}
 	// The live run takes a normal admission slot: validation yields to
 	// client traffic rather than competing unaccounted.
-	release, err := v.s.adm.Acquire(ctx)
+	release, err := v.s.admit(ctx, nil)
 	if err != nil {
 		return err
 	}
@@ -270,12 +255,8 @@ func (v *driftValidator) validateOnce(ctx context.Context) error {
 	v.drift.Observe(drift)
 	v.validations.Add(1)
 	if drift > estimate.Tolerance {
-		base, berr := estimate.EncodeBase(t.key, spec, live)
-		if berr != nil {
-			return berr
-		}
-		if _, perr := v.s.lib.PutWithBase(trc.Bytes(), base); perr != nil {
-			return perr
+		if err := p.WarmTraceLibrary(v.s.lib, spec, live, trc.Bytes()); err != nil {
+			return err
 		}
 		v.refreshes.Add(1)
 		v.s.log.Warn("estimate drifted past tolerance; library trace refreshed",

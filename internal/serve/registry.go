@@ -171,6 +171,7 @@ const subBuffer = 256
 
 type runEntry struct {
 	info    RunInfo
+	span    string // the key of the run's bySpan entry
 	events  []RunEvent
 	seq     int
 	subs    map[int]chan RunEvent
@@ -179,7 +180,7 @@ type runEntry struct {
 
 // RunRegistry is one node's flight recorder. All methods are safe for
 // concurrent use; the observer callbacks (RunEmulating, RunQuantum)
-// are non-blocking. A nil registry is inert.
+// are non-blocking.
 type RunRegistry struct {
 	node      string
 	recentCap int
@@ -222,9 +223,6 @@ type RunHandle struct {
 // the run's trace ID for span deep-links. origin names the fabric peer
 // that forwarded the request here, if any.
 func (r *RunRegistry) Begin(kind, app, key, trace, spanID, origin string) *RunHandle {
-	if r == nil {
-		return nil
-	}
 	now := time.Now()
 	ent := &runEntry{
 		info: RunInfo{
@@ -239,6 +237,7 @@ func (r *RunRegistry) Begin(kind, app, key, trace, spanID, origin string) *RunHa
 			StartUnixNano: now.UnixNano(),
 			Phases:        []RunPhase{{State: RunQueued, EnteredUnixNano: now.UnixNano()}},
 		},
+		span: spanID,
 		subs: make(map[int]chan RunEvent),
 	}
 	r.mu.Lock()
@@ -353,11 +352,7 @@ func (h *RunHandle) Finish(outcome string, err error) {
 		delete(ent.subs, id)
 	}
 	delete(r.live, ent.info.ID)
-	for span, e := range r.bySpan {
-		if e == ent {
-			delete(r.bySpan, span)
-		}
-	}
+	delete(r.bySpan, ent.span)
 	r.recent = append(r.recent, ent)
 	if len(r.recent) > r.recentCap {
 		r.recent = r.recent[len(r.recent)-r.recentCap:]
@@ -367,9 +362,6 @@ func (h *RunHandle) Finish(outcome string, err error) {
 // RunEmulating implements obs.RunObserver: the emulator core reports a
 // run's instances executing.
 func (r *RunRegistry) RunEmulating(parent obs.SpanContext) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.bySpan[parent.SpanID]
@@ -383,9 +375,6 @@ func (r *RunRegistry) RunEmulating(parent obs.SpanContext) {
 // RunQuantum implements obs.RunObserver: cumulative per-quantum
 // progress for a run.
 func (r *RunRegistry) RunQuantum(parent obs.SpanContext, quanta, actions, pagesMigrated uint64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.bySpan[parent.SpanID]
@@ -444,9 +433,6 @@ func (r *RunRegistry) publishLocked(ent *runEntry, ev RunEvent) {
 
 // Get returns a snapshot of one run's record and its retained events.
 func (r *RunRegistry) Get(id string) (RunInfo, []RunEvent, bool) {
-	if r == nil {
-		return RunInfo{}, nil, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.lookupLocked(id)
@@ -462,9 +448,6 @@ func (r *RunRegistry) Get(id string) (RunInfo, []RunEvent, bool) {
 // subscription are taken under one lock, so no event is lost between
 // them.
 func (r *RunRegistry) Watch(id string) (history []RunEvent, ch <-chan RunEvent, cancel func(), ok bool) {
-	if r == nil {
-		return nil, nil, nil, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.lookupLocked(id)
@@ -515,9 +498,6 @@ func snapshotLocked(ent *runEntry) RunInfo {
 // recent ring — newest first (by start time, then ID for stability).
 // A nil filter matches everything.
 func (r *RunRegistry) List(match func(RunInfo) bool) []RunInfo {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]RunInfo, 0, len(r.live)+len(r.recent))
 	for _, ent := range r.live {
@@ -536,13 +516,19 @@ func (r *RunRegistry) List(match func(RunInfo) bool) []RunInfo {
 		}
 		out = kept
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartUnixNano != out[j].StartUnixNano {
-			return out[i].StartUnixNano > out[j].StartUnixNano
-		}
-		return out[i].ID < out[j].ID
-	})
+	newestFirst(out)
 	return out
+}
+
+// newestFirst orders runs by start time, newest first, then by ID for
+// stability.
+func newestFirst(runs []RunInfo) {
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].StartUnixNano != runs[j].StartUnixNano {
+			return runs[i].StartUnixNano > runs[j].StartUnixNano
+		}
+		return runs[i].ID < runs[j].ID
+	})
 }
 
 // RunSummary is the registry's aggregate view, embedded in the node
@@ -569,9 +555,6 @@ type RunSummary struct {
 
 // Summary returns the registry's aggregate view.
 func (r *RunRegistry) Summary() RunSummary {
-	if r == nil {
-		return RunSummary{}
-	}
 	r.mu.Lock()
 	sum := RunSummary{
 		Started: r.started,
@@ -593,12 +576,7 @@ func (r *RunRegistry) Summary() RunSummary {
 		}
 	}
 	r.mu.Unlock()
-	sort.Slice(sum.Active, func(i, j int) bool {
-		if sum.Active[i].StartUnixNano != sum.Active[j].StartUnixNano {
-			return sum.Active[i].StartUnixNano > sum.Active[j].StartUnixNano
-		}
-		return sum.Active[i].ID < sum.Active[j].ID
-	})
+	newestFirst(sum.Active)
 	return sum
 }
 
@@ -606,10 +584,6 @@ func (r *RunRegistry) Summary() RunSummary {
 // without coordination, like a span ID.
 func newRunID() string {
 	b := make([]byte, 8)
-	if _, err := rand.Read(b); err != nil {
-		for i := range b {
-			b[i] = 0xcd
-		}
-	}
+	rand.Read(b) // never fails: it crashes the program instead
 	return hex.EncodeToString(b)
 }

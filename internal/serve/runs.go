@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // HTTP surface of the flight recorder (registry.go): the run listing,
@@ -16,60 +15,20 @@ import (
 // shape as /v1/results, with total counting every match.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	filters := []func(RunInfo) bool{}
-	if app := q.Get("app"); app != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.App == app })
+	var fs filters[RunInfo]
+	fs.equal(q, "app", func(info RunInfo) string { return info.App })
+	fs.equal(q, "kind", func(info RunInfo) string { return info.Kind })
+	fs.equal(q, "state", func(info RunInfo) string { return string(info.State) })
+	fs.equal(q, "key", func(info RunInfo) string { return info.Key })
+	fs.equal(q, "trace", func(info RunInfo) string { return info.Trace })
+	limit, offset, err := window(q)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if kind := q.Get("kind"); kind != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Kind == kind })
-	}
-	if state := q.Get("state"); state != "" {
-		filters = append(filters, func(info RunInfo) bool { return string(info.State) == state })
-	}
-	if key := q.Get("key"); key != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Key == key })
-	}
-	if trace := q.Get("trace"); trace != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Trace == trace })
-	}
-	limit, offset := -1, 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
-	}
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: offset must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		offset = n
-	}
-	var match func(RunInfo) bool
-	if len(filters) > 0 {
-		match = func(info RunInfo) bool {
-			for _, f := range filters {
-				if !f(info) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	runs := s.runs.List(match)
+	runs := s.runs.List(fs.match)
 	total := len(runs)
-	if offset >= len(runs) {
-		runs = nil
-	} else {
-		runs = runs[offset:]
-	}
-	if limit >= 0 && limit < len(runs) {
-		runs = runs[:limit]
-	}
+	runs = cut(runs, limit, offset)
 	if runs == nil {
 		runs = []RunInfo{}
 	}

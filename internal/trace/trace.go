@@ -34,14 +34,16 @@
 //     tombstones.
 //   - Keyframes: every KeyframeInterval records the stream restarts
 //     with full views, so corruption costs at most one keyframe
-//     interval and a reader can seek to any quantum from the nearest
-//     keyframe in O(interval) records, not O(trace).
+//     interval.
 //
-// A finished trace may end with a footer line indexing the keyframe
-// boundaries by byte offset (Recorder.Close writes it); the footer is
-// what internal/trace/library's random-access seeks use. Streamed or
-// torn traces without a footer stay fully readable — the footer is an
-// index, not part of the data.
+// A finished trace may end with a footer line counting its quanta and
+// indexing the keyframe boundaries by byte offset (Recorder.Close
+// writes it). Readers use the footer only to tell a finished trace
+// from a cut one: internal/trace/library accepts only footer-terminated
+// traces and checks the count. No reader seeks through the boundaries;
+// they stay in the format so existing traces keep their bytes.
+// Streamed or torn traces without a footer stay fully readable — the
+// footer is an index, not part of the data.
 //
 // The format remains append-crash-tolerant in the same way
 // internal/store's segments are: every record is one Write of one
@@ -73,7 +75,7 @@ const Version = 2
 // DefaultKeyframeInterval is the keyframe cadence stamped into headers
 // that do not choose their own: one full-view record every 16 quanta,
 // deltas in between. Smaller intervals shrink the corruption blast
-// radius and speed random access; larger ones compress better.
+// radius; larger ones compress better.
 const DefaultKeyframeInterval = 16
 
 // MaxLineBytes bounds one record line. A corrupt or adversarial input
@@ -210,11 +212,10 @@ type wireRecord struct {
 	X [][]float64 `json:"x,omitempty"`
 }
 
-// Footer is the optional last line of a finished trace: an index of
-// the keyframe boundaries, letting a reader seek to quantum N through
-// the nearest boundary in O(KeyframeInterval) records. It is written
-// by Recorder.Close; traces cut short (streams, crashes) simply lack
-// it and remain fully readable front to back.
+// Footer is the optional last line of a finished trace: its quantum
+// count and an index of the keyframe boundaries. It is written by
+// Recorder.Close; traces cut short (streams, crashes) simply lack it
+// and remain fully readable front to back.
 type Footer struct {
 	// Footer carries the schema version and marks the line as the
 	// footer (no quantum record has this field).
@@ -639,8 +640,6 @@ func (r *Recorder) Close() error {
 type Reader struct {
 	br      *bufio.Reader
 	line    int
-	off     int64 // bytes consumed through the last returned line
-	lineOff int64 // offset of the last returned line's first byte
 	hdr     Header
 	hdrDone bool
 	records int
@@ -660,18 +659,6 @@ func NewReader(r io.Reader) *Reader {
 		lastIvl: map[string]int{},
 		maxLine: MaxLineBytes,
 	}
-}
-
-// NewSegmentReader resumes decoding at a keyframe boundary of a trace
-// whose header is already known — the random-access path: seek the
-// underlying reader to a boundary byte offset from the trace's footer
-// index, then read forward. Record indexes restart at zero, which is
-// sound because boundaries fall at whole keyframe intervals.
-func NewSegmentReader(h Header, src io.Reader) *Reader {
-	r := NewReader(src)
-	r.hdr = h
-	r.hdrDone = true
-	return r
 }
 
 // readLine returns the next raw line including its trailing newline
@@ -708,17 +695,14 @@ func (r *Reader) readLine() ([]byte, error) {
 // failure reports it as the torn tail it is.
 func (r *Reader) next() ([]byte, error) {
 	for {
-		start := r.off
 		line, err := r.readLine()
 		if err != nil {
 			return nil, err
 		}
-		r.off += int64(len(line))
 		r.line++
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue // blank separator lines are tolerated, but numbered
 		}
-		r.lineOff = start
 		return line, nil
 	}
 }
@@ -811,8 +795,10 @@ func (r *Reader) Next() (Quantum, error) {
 
 // reconstruct turns a wire record into a full Quantum, maintaining the
 // per-process delta chains and enforcing the keyframe cadence: every
-// process's first record in a keyframe interval must be a keyframe, or
-// random access through the footer index would misreconstruct.
+// process's first record in a keyframe interval must be a keyframe. A
+// delta chain therefore never crosses an interval boundary, which
+// rejects hostile input that chains deltas indefinitely and confines
+// a corruption to the interval it lands in.
 func (r *Reader) reconstruct(rec wireRecord) (Quantum, error) {
 	ivl := r.records / r.hdr.KeyframeInterval
 	last, seen := r.lastIvl[rec.Proc]
@@ -906,15 +892,6 @@ func applyDelta(prev, changed []policy.GroupStat, removed []uint64) []policy.Gro
 // Line returns the number of the last line read (1-based; 0 before any
 // read), which for a just-returned error is the offending line.
 func (r *Reader) Line() int { return r.line }
-
-// Records returns the number of quantum records successfully returned
-// so far.
-func (r *Reader) Records() int { return r.records }
-
-// LastRecordOffset returns the byte offset of the first byte of the
-// most recently returned line — for the record just decoded, the
-// offset a footer boundary would carry.
-func (r *Reader) LastRecordOffset() int64 { return r.lineOff }
 
 // Footer returns the trace's footer index if the stream ended with
 // one. Only meaningful after Next has returned io.EOF.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -261,17 +262,26 @@ func TestFooterIndex(t *testing.T) {
 		t.Fatalf("boundaries = %v, want 3 entries", f.Boundaries)
 	}
 	for _, b := range f.Boundaries {
-		// Each boundary must point at the start of a keyframe line.
-		seg := NewSegmentReader(h, bytes.NewReader(data[b[1]:]))
-		q, err := seg.Next()
+		// Each boundary must point at the first byte of the keyframe
+		// record at its index.
+		if b[1] <= 0 || b[1] >= int64(len(data)) || data[b[1]-1] != '\n' {
+			t.Fatalf("boundary %v does not start a line", b)
+		}
+		line, _, _ := bytes.Cut(data[b[1]:], []byte("\n"))
+		var rec wireRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("boundary %v: %v", b, err)
+		}
+		if !rec.Key {
+			t.Errorf("boundary %v does not open with a keyframe", b)
+		}
+		want := synthView(uint64(b[0]+1), uint64(b[0]+1))
+		groups, err := decodeRuns(rec.G, h.GroupBytes)
 		if err != nil {
 			t.Fatalf("boundary %v: %v", b, err)
 		}
-		if !q.Keyframe {
-			t.Errorf("boundary %v does not open with a keyframe", b)
-		}
-		if want := synthView(uint64(b[0]+1), uint64(b[0]+1)); !reflect.DeepEqual(q.View, want) {
-			t.Errorf("boundary %v view = %+v, want %+v", b, q.View, want)
+		if rec.Q != want.Quantum || !reflect.DeepEqual(groups, want.Groups) {
+			t.Errorf("boundary %v record = quantum %d %+v, want quantum %d %+v", b, rec.Q, groups, want.Quantum, want.Groups)
 		}
 	}
 }

@@ -385,7 +385,9 @@ func (a *App) edgeCount(ds workloads.Dataset) int {
 }
 
 // Run executes one full execution of the vertex program over the
-// sharded graph.
+// sharded graph. It ignores seed: the graph is seeded by the kind
+// alone (graphFor), so a GraphChi Result does not depend on the run
+// seed.
 func (a *App) Run(env workloads.Env, ds workloads.Dataset, seed uint64) {
 	if a.g == nil || a.ds != ds {
 		a.g = graphFor(a.kind, a.edgeCount(ds))

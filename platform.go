@@ -154,11 +154,7 @@ type config struct {
 	observerFactor int
 	threadSocket   int
 	monitorNode    int
-	quantumCycles  float64
 	unmapFreed     bool
-	trackWear      bool
-	bootMB         int
-	bootSet        bool
 	factory        func(string) workloads.App
 	factoryKey     string
 	parallelism    int
@@ -175,13 +171,10 @@ func defaultConfig() config {
 	return config{mode: Emulation, seed: 1, scale: Full, threadSocket: -1}
 }
 
-// effectiveBootMB resolves the boot-image size: an explicit WithBootMB
-// wins; otherwise Quick scale shrinks the 48 MB image to 4 MB so
-// hundreds of CI-sized configurations stay cheap.
-func (c config) effectiveBootMB() int {
-	if c.bootSet {
-		return c.bootMB
-	}
+// bootMB resolves the boot-image size: Quick scale shrinks the 48 MB
+// image to 4 MB so hundreds of CI-sized configurations stay cheap; 0
+// keeps the default.
+func (c config) bootMB() int {
 	if c.scale == Quick {
 		return 4
 	}
@@ -201,7 +194,7 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithScale sizes every workload's inputs for the scale and installs
 // the matching application factory. Quick also shrinks the boot image
-// to 4 MB unless WithBootMB overrides it.
+// to 4 MB.
 func WithScale(s Scale) Option {
 	return func(c *config) {
 		c.scale = s
@@ -254,23 +247,8 @@ func WithThreadSocket(s int) Option { return func(c *config) { c.threadSocket = 
 // 0; the ablation tries socket 1).
 func WithMonitorNode(n int) Option { return func(c *config) { c.monitorNode = n } }
 
-// WithQuantumCycles overrides the scheduling timeslice.
-func WithQuantumCycles(q float64) Option { return func(c *config) { c.quantumCycles = q } }
-
 // WithUnmapFreedChunks enables the monolithic-free-list ablation.
 func WithUnmapFreedChunks(on bool) Option { return func(c *config) { c.unmapFreed = on } }
-
-// WithTrackWear enables per-page wear histograms on the devices.
-func WithTrackWear(on bool) Option { return func(c *config) { c.trackWear = on } }
-
-// WithBootMB overrides the boot-image size in MB (0 = the 48 MB
-// default).
-func WithBootMB(mb int) Option {
-	return func(c *config) {
-		c.bootMB = mb
-		c.bootSet = true
-	}
-}
 
 // WithParallelism caps the number of experiments RunBatch executes
 // concurrently (0 = one per available core).
@@ -492,10 +470,8 @@ func (p *Platform) coreOptions() core.Options {
 	o.ObserverFactor = p.cfg.observerFactor
 	o.ThreadSocket = p.cfg.threadSocket
 	o.MonitorNode = p.cfg.monitorNode
-	o.QuantumCycles = p.cfg.quantumCycles
 	o.UnmapFreedChunks = p.cfg.unmapFreed
-	o.TrackWear = p.cfg.trackWear
-	o.BootMB = p.cfg.effectiveBootMB()
+	o.BootMB = p.cfg.bootMB()
 	o.AppFactory = p.cfg.factory
 	o.Policy = p.cfg.policy
 	return o
@@ -556,9 +532,7 @@ type cacheKey struct {
 	observerFactor int
 	threadSocket   int
 	monitorNode    int
-	quantumCycles  float64
 	unmapFreed     bool
-	trackWear      bool
 	bootMB         int
 	factoryKey     string
 	policyKey      string
@@ -586,10 +560,8 @@ func (p *Platform) key(spec RunSpec) cacheKey {
 		observerFactor: p.cfg.observerFactor,
 		threadSocket:   p.cfg.threadSocket,
 		monitorNode:    p.cfg.monitorNode,
-		quantumCycles:  p.cfg.quantumCycles,
 		unmapFreed:     p.cfg.unmapFreed,
-		trackWear:      p.cfg.trackWear,
-		bootMB:         p.cfg.effectiveBootMB(),
+		bootMB:         p.cfg.bootMB(),
 		factoryKey:     p.cfg.factoryKey,
 		policyKey:      policyKey,
 		app:            spec.AppName,
@@ -615,9 +587,12 @@ func (k cacheKey) canonical() string {
 		"obs=" + strconv.Itoa(k.observerFactor),
 		"tsock=" + strconv.Itoa(k.threadSocket),
 		"mon=" + strconv.Itoa(k.monitorNode),
-		"quantum=" + strconv.FormatFloat(k.quantumCycles, 'g', -1, 64),
+		// quantum= and wear= are fixed segments: the platform offers
+		// no timeslice or wear-tracking override, but the key format
+		// keeps them so existing store keys and trace headers match.
+		"quantum=0",
 		"unmap=" + strconv.FormatBool(k.unmapFreed),
-		"wear=" + strconv.FormatBool(k.trackWear),
+		"wear=false",
 		"boot=" + strconv.Itoa(k.bootMB),
 		"factory=" + k.factoryKey,
 		"policy=" + k.policyKey,

@@ -87,12 +87,6 @@ func (s *Sweep) Knobs(cfgs ...PolicyConfig) *Sweep {
 	return s
 }
 
-// KnobSweep returns the sweep's knob-configuration dimension (nil when
-// none was set).
-func (s *Sweep) KnobSweep() []PolicyConfig {
-	return s.knobs
-}
-
 // Configs resolves the sweep's platform dimension into policy
 // configurations, in the order RunSweep executes its passes: the
 // Policies entries (each with default knobs) followed by the Knobs
